@@ -615,6 +615,82 @@ let engine_scaling () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* GOMCDS scaling with the array size                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Unbounded GOMCDS (jobs=1) on LU 16x16 mapped onto 16x16, 32x32 and
+   64x64 arrays, mesh and torus. Two walls per repetition, each reported
+   as the median (with min and max) over the repetitions:
+
+   - cold_ms: a fresh session and the whole solve, the arena fill
+     included;
+   - dp_ms: the solve on a session whose arena is already filled
+     ([Problem.prefetch_all] first, untimed) -- the layered DP alone.
+
+   The separable DP costs O(windows * P) per datum, so dp_ms should grow
+   about 4x per doubling of the side, not 16x. No gate: the rows are a
+   scaling trail in BENCH_<rev>.json. *)
+let gomcds_scaling () =
+  section "GOMCDS scaling (unbounded, LU 16x16, jobs=1)";
+  let reps = if quick then 3 else 5 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  let wall f =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    f ();
+    (Unix.gettimeofday () -. t0) *. 1e3
+  in
+  Printf.printf "%-8s %-6s %12s %12s %12s\n" "array" "topo" "cold ms" "dp ms"
+    "dp min-max";
+  let rows =
+    List.concat_map
+      (fun side ->
+        List.map
+          (fun (topology, kmesh) ->
+            let trace = Workloads.Lu.trace ~n:16 kmesh in
+            let solve problem =
+              ignore (Sched.Scheduler.solve problem Sched.Scheduler.Gomcds)
+            in
+            let samples =
+              List.init reps (fun _ ->
+                  let cold =
+                    wall (fun () -> solve (Sched.Problem.create kmesh trace))
+                  in
+                  let problem = Sched.Problem.create kmesh trace in
+                  Sched.Problem.prefetch_all problem;
+                  (cold, wall (fun () -> solve problem)))
+            in
+            let colds = List.map fst samples and dps = List.map snd samples in
+            let lo = List.fold_left Float.min infinity dps
+            and hi = List.fold_left Float.max 0. dps in
+            let size = Printf.sprintf "%dx%d" side side in
+            Printf.printf "%-8s %-6s %12.1f %12.1f %5.1f-%.1f\n%!" size
+              topology (median colds) (median dps) lo hi;
+            Obs.Json.Obj
+              [
+                ("array", Obs.Json.String size);
+                ("topology", Obs.Json.String topology);
+                ("workload", Obs.Json.String "lu-16x16");
+                ("reps", Obs.Json.Int reps);
+                ("cold_ms_median", Obs.Json.Float (median colds));
+                ("dp_ms_median", Obs.Json.Float (median dps));
+                ("dp_ms_min", Obs.Json.Float lo);
+                ("dp_ms_max", Obs.Json.Float hi);
+              ])
+          [
+            ("mesh", Pim.Mesh.square side);
+            ("torus", Pim.Mesh.square ~wrap:true side);
+          ])
+      [ 16; 32; 64 ]
+  in
+  Obs.Json.List rows
+
+(* ------------------------------------------------------------------ *)
 (* Kernel dimension: separable vs naive cost-vector construction       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1485,7 +1561,8 @@ let git_rev () =
         | _ -> "local"
       with _ -> "local")
 
-let json_snapshot ~kernel ~serve ~multi ~engine ~incremental ~timed () =
+let json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed
+    () =
   section "Machine-readable snapshot";
   let n = if quick then 8 else 16 in
   let reps = if quick then 1 else 3 in
@@ -1582,6 +1659,7 @@ let json_snapshot ~kernel ~serve ~multi ~engine ~incremental ~timed () =
          ("serve_bench", serve);
          ("multi_bench", multi);
          ("engine_scaling", engine);
+         ("gomcds_scaling", gomcds);
          ("incremental_bench", incremental);
          ("timed_bench", timed);
          ("entries", Obs.Json.List (List.rev !entries));
@@ -1595,12 +1673,13 @@ let () =
   if quick then begin
     figure1 ();
     let engine = engine_scaling () in
+    let gomcds = gomcds_scaling () in
     let kernel = kernel_bench () in
     let serve = serve_bench () in
     let multi = multi_bench () in
     let incremental = incremental_bench () in
     let timed = timed_bench () in
-    json_snapshot ~kernel ~serve ~multi ~engine ~incremental ~timed ();
+    json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed ();
     print_endline "\nQuick benches complete."
   end
   else begin
@@ -1620,11 +1699,12 @@ let () =
     congestion ();
     timing ();
     let engine = engine_scaling () in
+    let gomcds = gomcds_scaling () in
     let kernel = kernel_bench () in
     let serve = serve_bench () in
     let multi = multi_bench () in
     let incremental = incremental_bench () in
     let timed = timed_bench () in
-    json_snapshot ~kernel ~serve ~multi ~engine ~incremental ~timed ();
+    json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed ();
     print_endline "\nAll benches complete."
   end

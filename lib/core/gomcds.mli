@@ -28,9 +28,10 @@ val optimal_centers :
   Pim.Mesh.t -> Reftrace.Trace.t -> data:int -> int * int array
 
 (** [cost_problem mesh trace ~data] is the layered shortest-path problem for
-    one datum (reference cost on nodes, migration on edges) — the object
-    both {!schedule} and {!Refine} solve. {!Problem.layered} is the cached
-    equivalent; this one recomputes its vectors each call. *)
+    one datum (reference cost on nodes, migration on edges) in callback
+    form — the object {!schedule} solves, recomputing its vectors each
+    call. {!schedule} itself runs {!Problem.solve_datum} over the cached
+    arena. *)
 val cost_problem :
   Pim.Mesh.t -> Reftrace.Trace.t -> data:int -> Pathgraph.Layered.problem
 

@@ -129,29 +129,25 @@ let greedy_ranges ~ops ~dist ~items ~n =
   List.rev !finalized
 
 (* Re-optimize group centers with the shortest-path DP (GOMCDS over merged
-   windows). *)
-let refine_centers ?alive ~dist ~to_vector groups =
+   windows): the groups' summed vectors become the layers of one flat
+   buffer, solved by the session's DP dispatch — the separable core, or
+   the BFS table under link faults; dead ranks are masked there. *)
+let refine_centers problem ~to_vector groups =
   match groups with
   | [] -> []
   | _ ->
-      let vecs =
-        Array.of_list (List.map (fun (_, _, v, _) -> to_vector v) groups)
+      let width = Pim.Mesh.size (Problem.mesh problem) in
+      let n = List.length groups in
+      let vectors =
+        Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (n * width)
       in
-      let problem =
-        {
-          Pathgraph.Layered.n_layers = Array.length vecs;
-          width = Array.length vecs.(0);
-          enter_cost = (fun j -> vecs.(0).(j));
-          step_cost = (fun ~layer j k -> dist j k + vecs.(layer).(k));
-        }
-      in
+      List.iteri
+        (fun i (_, _, v, _) ->
+          Array.iteri (fun k c -> vectors.{(i * width) + k} <- c) (to_vector v))
+        groups;
+      let offsets = Array.init n (fun i -> i * width) in
       let _, centers =
-        match alive with
-        | None -> Pathgraph.Layered.solve problem
-        | Some ok ->
-            Option.get
-              (Pathgraph.Layered.solve_filtered problem
-                 ~allowed:(fun ~layer:_ j -> ok j))
+        Option.get (Problem.solve_layers problem ~vectors ~offsets)
       in
       List.mapi
         (fun i (lo, hi, v, _) -> (lo, hi, v, centers.(i)))
@@ -208,7 +204,7 @@ let groups problem ~data ~centers =
         let ranges =
           match centers with
           | `Local -> ranges
-          | `Global -> refine_centers ~alive ~dist ~to_vector:Fun.id ranges
+          | `Global -> refine_centers problem ~to_vector:Fun.id ranges
         in
         to_groups indices ranges
   end
@@ -225,7 +221,7 @@ let groups problem ~data ~centers =
           let ranges =
             match centers with
             | `Local -> ranges
-            | `Global -> refine_centers ~dist ~to_vector:Fun.id ranges
+            | `Global -> refine_centers problem ~to_vector:Fun.id ranges
           in
           to_groups indices ranges)
   | `Separable -> (
@@ -245,7 +241,7 @@ let groups problem ~data ~centers =
             match centers with
             | `Local -> ranges
             | `Global ->
-                refine_centers ~dist
+                refine_centers problem
                   ~to_vector:(Cost.vector_of_marginals ~wrap ~cols ~rows)
                   ranges
           in

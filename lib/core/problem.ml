@@ -204,8 +204,6 @@ let distance t a b =
   | Some d -> d.(a).(b)
   | None -> Context.distance t.ctx a b
 
-let axis_tables t = (t.ctx.Context.xdist, t.ctx.Context.ydist)
-
 let set_cancel t c = t.cancel <- c
 let cancel_token t = t.cancel
 
@@ -975,61 +973,34 @@ let fresh_memory t =
     List.iter (Pim.Memory.ban m) (Pim.Fault.dead_nodes t.fault);
   m
 
-let layer_vectors t ~data =
-  let slab, offs = layer_slab t ~data in
-  Array.init (n_windows t) (fun w ->
-      Array.init t.ctx.Context.size (fun i -> slab.{offs.(w) + i}))
-
-let layered t ~data =
-  let slab, offs = layer_slab t ~data in
-  let cols = Pim.Mesh.cols t.ctx.Context.mesh in
-  let width = t.ctx.Context.size in
-  let step_cost =
-    match t.fault_dist with
-    | Some fd ->
-        fun ~layer j k -> fd.(j).(k) + slab.{offs.(layer) + k}
-    | None ->
-        let xd = t.ctx.Context.xdist and yd = t.ctx.Context.ydist in
-        fun ~layer j k ->
-          xd.(j mod cols).(k mod cols)
-          + yd.(j / cols).(k / cols)
-          + slab.{offs.(layer) + k}
-  in
+let shape t =
+  let mesh = t.ctx.Context.mesh in
   {
-    Pathgraph.Layered.n_layers = n_windows t;
-    width;
-    enter_cost = (fun j -> slab.{offs.(0) + j});
-    step_cost;
+    Pathgraph.Layered.cols = Pim.Mesh.cols mesh;
+    rows = Pim.Mesh.rows mesh;
+    wrap = Pim.Mesh.wraps mesh;
   }
+
+let solve_layers ?allowed t ~vectors ~offsets =
+  (* Compose the caller's filter with the alive mask; no closure is built
+     on the healthy unfiltered path. *)
+  let allowed =
+    match (allowed, Pim.Fault.has_node_faults t.fault) with
+    | f, false -> f
+    | None, true -> Some (fun ~layer:_ j -> t.alive.(j))
+    | Some f, true -> Some (fun ~layer j -> t.alive.(j) && f ~layer j)
+  in
+  let n_layers = Array.length offsets in
+  match t.fault_dist with
+  | None ->
+      Pathgraph.Layered.solve_axes ?allowed ~offsets ~shape:(shape t) ~vectors
+        ~n_layers ()
+  | Some dist ->
+      (* link faults: the BFS distances do not separate by axis *)
+      Pathgraph.Layered.solve_table ?allowed ~offsets ~dist ~vectors ~n_layers
+        ()
 
 let solve_datum ?allowed t ~data =
   poll t;
-  (* Compose the caller's filter with the alive mask; no closure is built
-     on the healthy unfiltered path. *)
-  let combined =
-    match (allowed, Pim.Fault.has_node_faults t.fault) with
-    | None, false -> None
-    | None, true -> Some (fun ~layer:_ j -> t.alive.(j))
-    | (Some _ as f), false -> f
-    | Some f, true -> Some (fun ~layer j -> t.alive.(j) && f ~layer j)
-  in
-  match t.fault_dist with
-  | None -> (
-      let vectors, offsets = layer_slab t ~data in
-      let xdist = t.ctx.Context.xdist and ydist = t.ctx.Context.ydist in
-      let width = t.ctx.Context.size and n_layers = n_windows t in
-      match combined with
-      | None ->
-          Some
-            (Pathgraph.Layered.solve_axes ~offsets ~xdist ~ydist ~vectors
-               ~width ~n_layers ())
-      | Some allowed ->
-          Pathgraph.Layered.solve_axes_filtered ~offsets ~xdist ~ydist
-            ~vectors ~width ~n_layers ~allowed ())
-  | Some _ -> (
-      (* link faults: the axis tables no longer factor the distances, so
-         the DP runs on the callback problem over the BFS table *)
-      let p = layered t ~data in
-      match combined with
-      | None -> Some (Pathgraph.Layered.solve p)
-      | Some allowed -> Pathgraph.Layered.solve_filtered p ~allowed)
+  let vectors, offsets = layer_slab t ~data in
+  solve_layers ?allowed t ~vectors ~offsets

@@ -229,10 +229,10 @@ val merged : t -> Reftrace.Window.t
     tables (two reads — safe in parallel phases). *)
 val distance : t -> int -> int -> int
 
-(** [axis_tables t] is the cached [(x_distance_table, y_distance_table)]
-    pair — the inputs {!Pathgraph.Layered.solve_axes} consumes, so the
-    layered DP never needs a full rank-to-rank matrix. Read-only. *)
-val axis_tables : t -> int array array * int array array
+(** [shape t] is the mesh shape the separable DP core consumes
+    ({!Pathgraph.Layered.solve_axes}): extents and wrap, read off the
+    context's mesh. *)
+val shape : t -> Pathgraph.Layered.shape
 
 (** [marginals t ~window ~data] is {!Reftrace.Window.marginals} for the
     pair, cached — the separable kernel's input, also summed directly by
@@ -318,26 +318,30 @@ val trajectory_cost : t -> data:int -> int array -> int
     the buffer holds one row per {e referencing} window plus one — and is
     a bigarray allocated uninitialized (each referencing row is written in
     full before it is readable; only the zero row is cleared eagerly).
-    Exactly the form {!Pathgraph.Layered.solve_axes} consumes via its
+    Exactly the form {!solve_layers} consumes via its
     [offsets] argument; treat both as read-only. *)
 val layer_slab : t -> data:int -> Pathgraph.Layered.buffer * int array
 
-(** [layer_vectors t ~data] is the datum's cost vector for every window as
-    fresh row copies (the dense {!Pathgraph.Layered.solve_dense} shape —
-    now only the cross-check oracle's input). Forces the arena row. *)
-val layer_vectors : t -> data:int -> int array array
-
-(** [layered t ~data] is the GOMCDS cost-graph DP for one datum
-    ({!Gomcds.cost_problem}) reading the arena slab and, under link faults,
-    the BFS distance table in place of the per-axis pair. Forces the
-    datum's arena rows. *)
-val layered : t -> data:int -> Pathgraph.Layered.problem
+(** [solve_layers ?allowed t ~vectors ~offsets] is the layered DP over
+    the session's distance: the layers are [Array.length offsets] rows of
+    [vectors] ([size] entries each, at [offsets.(w)], repeats allowed),
+    and a step costs the routing distance between its two ranks. On a
+    healthy or node-faulted session that distance is separable and the
+    DP is {!Pathgraph.Layered.solve_axes}; link faults run
+    {!Pathgraph.Layered.solve_table} over the BFS distance table. Node
+    faults intersect [allowed] with the alive mask. Returns [None] when
+    [allowed] leaves some layer empty. The one DP dispatch behind
+    {!solve_datum} and {!Grouping}'s [`Global] centers. *)
+val solve_layers :
+  ?allowed:(layer:int -> int -> bool) ->
+  t ->
+  vectors:Pathgraph.Layered.buffer ->
+  offsets:int array ->
+  (int * int array) option
 
 (** [solve_datum ?allowed t ~data] runs the per-datum layered DP with the
-    fault folded in: on a healthy context it is exactly
-    {!Pathgraph.Layered.solve_axes}[(_filtered)] over the arena slab; node
-    faults intersect [allowed] with the alive mask; link faults run the
-    callback DP over the BFS distance table. Returns [None] when [allowed]
+    fault folded in: {!solve_layers} over the datum's arena slab
+    ({!layer_slab}). Returns [None] when [allowed]
     leaves some layer empty (never on an unfiltered healthy or node-fault
     context — at least one rank is always alive). The one entry point
     GOMCDS, {!Refine} and {!Bounds} all price trajectories through. *)

@@ -7,22 +7,23 @@ type problem = {
   step_cost : layer:int -> int -> int -> int;
 }
 
+type shape = { cols : int; rows : int; wrap : bool }
+
 type group_member = {
-  g_xdist : int array array;
-  g_ydist : int array array;
+  g_shape : shape;
   g_vectors : buffer;
   g_offsets : int array;
 }
 
-let validate p =
-  if p.n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  if p.width <= 0 then invalid_arg "Layered: width must be positive"
+let inf = max_int
 
 (* DP work counters, reported once per solve (see DESIGN.md
-   "Observability"): a node is expanded when its out-edges are relaxed,
-   so per layer [nodes] = sources with a finite cost and [edges] =
-   nodes x reachable targets. Totals are per-datum and therefore
-   independent of how solves are fanned out across domains. *)
+   "Observability"): a node is expanded when it is a finite-cost source
+   of a layer step, and an edge is one relaxation the solver actually
+   performs — one (source, target) pair for the table and callback
+   forms, one unit step of a sweep for the separable core. Totals are
+   per-datum and therefore independent of how solves are fanned out
+   across domains. *)
 let report_solve ~nodes ~edges =
   if !Obs.enabled then begin
     Obs.Metrics.incr "layered.solves";
@@ -30,12 +31,36 @@ let report_solve ~nodes ~edges =
     Obs.Metrics.add "layered.edges_relaxed" edges
   end
 
+let count_finite cur ~lo ~hi =
+  let n = ref 0 in
+  for j = lo to hi - 1 do
+    if cur.(j) <> inf then incr n
+  done;
+  !n
+
+(* The cheapest final node (lowest index on ties) and the walk back
+   through the predecessor table — shared by every solver below. *)
+let backtrack ~cur ~choice ~n_layers =
+  let best = ref (-1) in
+  for j = 0 to Array.length cur - 1 do
+    if cur.(j) <> inf && (!best = -1 || cur.(j) < cur.(!best)) then best := j
+  done;
+  if !best = -1 then None
+  else begin
+    let centers = Array.make n_layers (-1) in
+    centers.(n_layers - 1) <- !best;
+    for layer = n_layers - 1 downto 1 do
+      centers.(layer - 1) <- choice.(layer).(centers.(layer))
+    done;
+    Some (cur.(!best), centers)
+  end
+
 (* Forward DP over layers. [dist.(j)] is the best cost of reaching node [j]
    of the current layer; [choice.(layer).(j)] records the predecessor. *)
 let solve_general p ~allowed =
-  validate p;
+  if p.n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
+  if p.width <= 0 then invalid_arg "Layered: width must be positive";
   Obs.Span.with_ ~name:"layered.solve" @@ fun () ->
-  let inf = max_int in
   let dist = Array.make p.width inf in
   let choice = Array.make_matrix p.n_layers p.width (-1) in
   for j = 0 to p.width - 1 do
@@ -43,8 +68,7 @@ let solve_general p ~allowed =
   done;
   let nodes = ref 0 and edges = ref 0 in
   for layer = 1 to p.n_layers - 1 do
-    let finite = ref 0 in
-    Array.iter (fun d -> if d <> inf then incr finite) dist;
+    let finite = count_finite dist ~lo:0 ~hi:p.width in
     let next = Array.make p.width inf in
     let allowed_k = ref 0 in
     for k = 0 to p.width - 1 do
@@ -61,25 +85,12 @@ let solve_general p ~allowed =
         done
       end
     done;
-    nodes := !nodes + !finite;
-    edges := !edges + (!finite * !allowed_k);
+    nodes := !nodes + finite;
+    edges := !edges + (finite * !allowed_k);
     Array.blit next 0 dist 0 p.width
   done;
   report_solve ~nodes:!nodes ~edges:!edges;
-  let best = ref (-1) in
-  for j = 0 to p.width - 1 do
-    if dist.(j) <> inf && (!best = -1 || dist.(j) < dist.(!best)) then
-      best := j
-  done;
-  if !best = -1 then None
-  else begin
-    let centers = Array.make p.n_layers (-1) in
-    centers.(p.n_layers - 1) <- !best;
-    for layer = p.n_layers - 1 downto 1 do
-      centers.(layer - 1) <- choice.(layer).(centers.(layer))
-    done;
-    Some (dist.(!best), centers)
-  end
+  backtrack ~cur:dist ~choice ~n_layers:p.n_layers
 
 let solve p =
   match solve_general p ~allowed:(fun ~layer:_ _ -> true) with
@@ -88,203 +99,269 @@ let solve p =
 
 let solve_filtered p ~allowed = solve_general p ~allowed
 
-(* Dense specialization of [solve_general] for the ubiquitous cost shape
-   enter = vectors.(0), step = dist + vectors.(layer): straight table
-   reads in the inner loop instead of two closure calls per edge. The
-   candidate scan visits (k, j) in the same order with the same strict
-   comparison as [solve_general], so predecessors and final centers break
-   ties identically. *)
-let solve_dense_general ~dist ~vectors ~allowed =
-  let n_layers = Array.length vectors in
-  if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  let width = Array.length vectors.(0) in
-  if width <= 0 then invalid_arg "Layered: width must be positive";
-  Obs.Span.with_ ~name:"layered.solve" @@ fun () ->
-  let inf = max_int in
-  let cur = Array.make width inf in
-  let choice = Array.make_matrix n_layers width (-1) in
-  let v0 = vectors.(0) in
-  for j = 0 to width - 1 do
-    if allowed ~layer:0 j then cur.(j) <- v0.(j)
-  done;
-  let best = Array.make width inf in
-  let from = Array.make width (-1) in
-  let nodes = ref 0 in
-  for layer = 1 to n_layers - 1 do
-    Array.fill best 0 width inf;
-    for j = 0 to width - 1 do
-      let dj = cur.(j) in
-      if dj <> inf then begin
-        incr nodes;
-        let row = dist.(j) in
-        for k = 0 to width - 1 do
-          let c = dj + row.(k) in
-          if c < best.(k) then begin
-            best.(k) <- c;
-            from.(k) <- j
-          end
-        done
-      end
-    done;
-    let v = vectors.(layer) in
-    let ch = choice.(layer) in
-    for k = 0 to width - 1 do
-      if best.(k) <> inf && allowed ~layer k then begin
-        cur.(k) <- best.(k) + v.(k);
-        ch.(k) <- from.(k)
-      end
-      else cur.(k) <- inf
-    done
-  done;
-  report_solve ~nodes:!nodes ~edges:(!nodes * width);
-  let best_node = ref (-1) in
-  for j = 0 to width - 1 do
-    if cur.(j) <> inf && (!best_node = -1 || cur.(j) < cur.(!best_node))
-    then best_node := j
-  done;
-  if !best_node = -1 then None
-  else begin
-    let centers = Array.make n_layers (-1) in
-    centers.(n_layers - 1) <- !best_node;
-    for layer = n_layers - 1 downto 1 do
-      centers.(layer - 1) <- choice.(layer).(centers.(layer))
-    done;
-    Some (cur.(!best_node), centers)
-  end
-
-(* Axis-table form of [solve_dense_general]: the step distance is read off
-   the two per-axis tables (dist(j,k) = xd(jx,kx) + yd(jy,ky)) so no
-   O(width²) rank-to-rank matrix ever exists, and the layer vectors are
-   rows of one flat arena buffer — row [layer] starts at
-   [offsets.(layer)], or [layer * width] when no offset table is given
-   (back-to-back layout). Offsets may repeat: a compact arena points every
-   zero layer at one shared row. The relaxation visits sources j ascending
-   and targets k ascending (k = ky·cols + kx in row-major order) with the
-   same strict comparison as the dense form, so predecessors and final
-   centers break ties identically — [test/test_fastpath.ml] pins the two
-   byte-equal. *)
-let solve_axes_general ?offsets ~xdist ~ydist ~vectors ~width ~n_layers
-    ~allowed () =
+(* Row offsets of the layers in a flat vector buffer, checked: [offsets]
+   as given (repeats allowed — a compact arena points every zero layer at
+   one shared row), or back to back when omitted. *)
+let layer_offsets ?offsets ~vectors ~width ~n_layers () =
   if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
   if width <= 0 then invalid_arg "Layered: width must be positive";
-  let cols = Array.length xdist and rows = Array.length ydist in
-  if cols * rows <> width then
-    invalid_arg "Layered: axis tables do not factor the layer width";
   let dim = Bigarray.Array1.dim vectors in
-  let offs =
-    match offsets with
-    | Some o ->
-        if Array.length o < n_layers then
-          invalid_arg "Layered: offset table shorter than n_layers";
-        Array.iter
-          (fun off ->
-            if off < 0 || off + width > dim then
-              invalid_arg "Layered: layer offset outside the vector buffer")
-          o;
-        o
-    | None ->
-        if dim < n_layers * width then
-          invalid_arg
-            "Layered: flat vector buffer shorter than n_layers x width";
-        Array.init n_layers (fun w -> w * width)
-  in
-  Obs.Span.with_ ~name:"layered.solve" @@ fun () ->
-  let inf = max_int in
-  let cur = Array.make width inf in
-  let choice = Array.make_matrix n_layers width (-1) in
-  let off0 = offs.(0) in
+  match offsets with
+  | Some o ->
+      if Array.length o < n_layers then
+        invalid_arg "Layered: offset table shorter than n_layers";
+      Array.iter
+        (fun off ->
+          if off < 0 || off + width > dim then
+            invalid_arg "Layered: layer offset outside the vector buffer")
+        o;
+      o
+  | None ->
+      if dim < n_layers * width then
+        invalid_arg "Layered: flat vector buffer shorter than n_layers x width";
+      Array.init n_layers (fun w -> w * width)
+
+(* Layer 0: the entry costs, on allowed nodes only. *)
+let enter ~cur ~base ~width ~(vectors : buffer) ~off ~add ~allowed =
   for j = 0 to width - 1 do
-    if allowed ~layer:0 j then cur.(j) <- vectors.{off0 + j}
-  done;
-  let best = Array.make width inf in
-  let from = Array.make width (-1) in
-  let nodes = ref 0 in
-  for layer = 1 to n_layers - 1 do
-    Array.fill best 0 width inf;
-    for j = 0 to width - 1 do
-      let dj = cur.(j) in
-      if dj <> inf then begin
-        incr nodes;
-        let xrow = xdist.(j mod cols) and yrow = ydist.(j / cols) in
-        let k = ref 0 in
-        for ky = 0 to rows - 1 do
-          let base = dj + yrow.(ky) in
-          for kx = 0 to cols - 1 do
-            let c = base + xrow.(kx) in
-            if c < best.(!k) then begin
-              best.(!k) <- c;
-              from.(!k) <- j
-            end;
-            incr k
-          done
-        done
-      end
-    done;
-    let voff = offs.(layer) in
-    let ch = choice.(layer) in
-    for k = 0 to width - 1 do
-      if best.(k) <> inf && allowed ~layer k then begin
-        cur.(k) <- best.(k) + vectors.{voff + k};
-        ch.(k) <- from.(k)
-      end
-      else cur.(k) <- inf
+    let g = base + j in
+    cur.(g) <-
+      (match allowed with
+      | Some ok when not (ok ~layer:0 g) -> inf
+      | _ -> vectors.{off + j} + add)
+  done
+
+(* Close a layer step on one block: a target keeps its relaxed cost plus
+   its own vector entry iff it was reached and [allowed] admits it. *)
+let settle ~cur ~best ~from ~ch ~base ~width ~(vectors : buffer) ~off ~add
+    ~allowed ~layer =
+  for k = 0 to width - 1 do
+    let g = base + k in
+    let b = best.(g) in
+    if b <> inf && match allowed with None -> true | Some ok -> ok ~layer g
+    then begin
+      cur.(g) <- b + vectors.{off + k} + add;
+      ch.(g) <- from.(g)
+    end
+    else cur.(g) <- inf
+  done
+
+(* ------------------------------------------------------------------ *)
+(* The separable core: an exact L1 distance transform per layer         *)
+(* ------------------------------------------------------------------ *)
+
+(* The core works on packed keys: a cell holding cost [c] from source
+   rank [r] is the single int [(c lsl shift) lor r], with every rank of
+   the layer below [1 lsl shift]. Integer order on keys is then the
+   lexicographic order on (cost, rank), and a unit step adds [unit =
+   1 lsl shift]. [none] marks a cell no source reaches; [none + unit]
+   cannot overflow, and loses to every real key. *)
+let none = max_int lsr 1
+
+(* One unit step of a ring seam: offer [key.(src) + unit] to [dst];
+   [true] iff [dst] improved. *)
+let step key ~unit src dst =
+  let c = key.(src) + unit in
+  c < key.(dst)
+  && begin
+       key.(dst) <- c;
+       true
+     end
+
+(* A full pass of steps from cell [first] to cell [last], [stride] apart
+   (negative for a backward pass), each cell relaxed from its
+   predecessor, whose key rides in a register. *)
+let pass key ~unit ~first ~last ~stride =
+  let prev = ref key.(first) in
+  let i = ref (first + stride) in
+  let stop = last + stride in
+  while !i <> stop do
+    let g = !i in
+    let c = !prev + unit and d = key.(g) in
+    if c < d then begin
+      key.(g) <- c;
+      prev := c
+    end
+    else prev := d;
+    i := g + stride
+  done
+
+(* The 1-D transform of one line of [n] cells at [base], [base + stride],
+   ...: afterwards every cell holds the least key over all cells i of
+   key(i) + d(i, k)·unit, with d the unit line distance |i - k|, or the
+   ring distance min(|i - k|, n - |i - k|) when [wrap]. A forward then a
+   backward pass; a ring continues each pass across the seam until a
+   step changes nothing (at most n - 2 more steps — no [mod] per step).
+   Rings of extent <= 2 are lines. Returns the number of steps taken. *)
+let sweep key ~unit ~base ~stride ~n ~wrap =
+  let last = base + ((n - 1) * stride) in
+  let ring = wrap && n > 2 in
+  let steps = ref (2 * (n - 1)) in
+  if n > 1 then pass key ~unit ~first:base ~last ~stride;
+  if ring then begin
+    incr steps;
+    let i = ref (base + stride) in
+    let go = ref (step key ~unit last base) in
+    while !go && !i < last do
+      incr steps;
+      go := step key ~unit (!i - stride) !i;
+      i := !i + stride
     done
+  end;
+  if n > 1 then pass key ~unit ~first:last ~last:base ~stride:(-stride);
+  if ring then begin
+    incr steps;
+    let i = ref (last - stride) in
+    let go = ref (step key ~unit base last) in
+    while !go && !i > base do
+      incr steps;
+      go := step key ~unit (!i + stride) !i;
+      i := !i - stride
+    done
+  end;
+  !steps
+
+(* One layer step of the separable core on the block at [base]: for
+   every target k, [best.(k)] and [from.(k)] become the lexicographic
+   minimum over sources j of (cur(j) + dist(j, k), j) — an x pass along
+   each row, then a y pass along each column, on packed keys built in
+   [best]. Costs are packed relative to the block's cheapest source m:
+   a source dearer than m by more than [cols + rows] (above any
+   distance) loses to m at every target, ties included, so it is left
+   out and the relative costs stay small. Returns the steps taken. *)
+let relax_block { cols; rows; wrap } ~cur ~best ~from ~base =
+  let hi = base + (cols * rows) in
+  let lo = ref inf in
+  for g = base to hi - 1 do
+    if cur.(g) < !lo then lo := cur.(g)
   done;
-  report_solve ~nodes:!nodes ~edges:(!nodes * width);
-  let best_node = ref (-1) in
-  for j = 0 to width - 1 do
-    if cur.(j) <> inf && (!best_node = -1 || cur.(j) < cur.(!best_node))
-    then best_node := j
-  done;
-  if !best_node = -1 then None
+  let lo = !lo in
+  if lo = inf then begin
+    Array.fill best base (hi - base) inf;
+    0
+  end
   else begin
-    let centers = Array.make n_layers (-1) in
-    centers.(n_layers - 1) <- !best_node;
-    for layer = n_layers - 1 downto 1 do
-      centers.(layer - 1) <- choice.(layer).(centers.(layer))
+    let shift = ref 0 in
+    while 1 lsl !shift < hi do
+      incr shift
     done;
-    Some (cur.(!best_node), centers)
+    let shift = !shift and reach = cols + rows in
+    let unit = 1 lsl shift in
+    for g = base to hi - 1 do
+      let c = cur.(g) in
+      best.(g) <-
+        (if c = inf || c - lo > reach then none else ((c - lo) lsl shift) lor g)
+    done;
+    let steps = ref 0 in
+    for y = 0 to rows - 1 do
+      steps :=
+        !steps + sweep best ~unit ~base:(base + (y * cols)) ~stride:1 ~n:cols ~wrap
+    done;
+    for x = 0 to cols - 1 do
+      steps :=
+        !steps + sweep best ~unit ~base:(base + x) ~stride:cols ~n:rows ~wrap
+    done;
+    (* m reaches every target, so no key is left at [none] *)
+    for g = base to hi - 1 do
+      let k = best.(g) in
+      from.(g) <- k land (unit - 1);
+      best.(g) <- (k lsr shift) + lo
+    done;
+    !steps
   end
 
-let solve_axes ?offsets ~xdist ~ydist ~vectors ~width ~n_layers () =
-  match
-    solve_axes_general ?offsets ~xdist ~ydist ~vectors ~width ~n_layers
-      ~allowed:(fun ~layer:_ _ -> true)
-      ()
-  with
-  | Some r -> r
-  | None -> assert false (* unrestricted problem is always feasible *)
+let check_shape { cols; rows; _ } =
+  if cols <= 0 || rows <= 0 then
+    invalid_arg "Layered: mesh extents must be positive";
+  cols * rows
 
-let solve_axes_filtered ?offsets ~xdist ~ydist ~vectors ~width ~n_layers
-    ~allowed () =
-  solve_axes_general ?offsets ~xdist ~ydist ~vectors ~width ~n_layers
-    ~allowed ()
+(* The layer loop of the single-array solvers: [relax ~cur ~best ~from]
+   performs one layer step — for every target, the cheapest source
+   (lowest index on ties) into [best]/[from] — and returns the
+   relaxations it made. *)
+let run_layers ~relax ?allowed ?offsets ~width ~vectors ~n_layers () =
+  let offs = layer_offsets ?offsets ~vectors ~width ~n_layers () in
+  Obs.Span.with_ ~name:"layered.solve" @@ fun () ->
+  let cur = Array.make width inf in
+  let choice = Array.make_matrix n_layers width (-1) in
+  enter ~cur ~base:0 ~width ~vectors ~off:offs.(0) ~add:0 ~allowed;
+  let best = Array.make width inf in
+  let from = Array.make width (-1) in
+  let nodes = ref 0 and edges = ref 0 in
+  for layer = 1 to n_layers - 1 do
+    nodes := !nodes + count_finite cur ~lo:0 ~hi:width;
+    edges := !edges + relax ~cur ~best ~from;
+    settle ~cur ~best ~from ~ch:choice.(layer) ~base:0 ~width ~vectors
+      ~off:offs.(layer) ~add:0 ~allowed ~layer
+  done;
+  report_solve ~nodes:!nodes ~edges:!edges;
+  backtrack ~cur ~choice ~n_layers
 
-(* Multi-array form of [solve_axes_general]: the layer is the disjoint
-   union of member blocks (one per PIM array), each with its own axis
-   tables and arena slab, concatenated in member order so a global node
-   index is [base.(i) + local]. Within a block the relaxation is exactly
-   the per-member copy of [solve_axes_general]'s inner loops. Between
-   blocks the inter-array fabric is a flat metric — every node of member
-   [jm] reaches every node of member [i] at the same price
-   [move_cost jm i] — so the cross product of block nodes collapses to
-   one scalar edge per ordered member pair: take each source member's
-   entry minimum (lowest global rank on ties), add the member-pair move
-   cost, and offer it to every node of the target block. Cross edges are
-   applied after the intra pass with the same strict [<], sources
-   visited in ascending member order, so staying inside the member wins
-   every tie and a 1-member group is byte-identical to [solve_axes]. *)
-let solve_group_general ~members ~move_cost ~consts ~n_layers ~allowed () =
+let solve_axes ?allowed ?offsets ~shape ~vectors ~n_layers () =
+  run_layers
+    ~relax:(relax_block shape ~base:0)
+    ?allowed ?offsets ~width:(check_shape shape) ~vectors ~n_layers ()
+
+(* ------------------------------------------------------------------ *)
+(* The table fallback (link-fault BFS distances)                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One layer step over an explicit [width]×[width] distance table:
+   sources j ascending, targets k ascending, strict [<] — so for every
+   target the kept source is again the lexicographic minimum of
+   (cost, j). Straight table reads, no closure per edge. *)
+let relax_table dist ~cur ~best ~from =
+  let width = Array.length dist in
+  Array.fill best 0 width inf;
+  let edges = ref 0 in
+  for j = 0 to width - 1 do
+    let dj = cur.(j) in
+    if dj <> inf then begin
+      edges := !edges + width;
+      let row = dist.(j) in
+      for k = 0 to width - 1 do
+        let c = dj + row.(k) in
+        if c < best.(k) then begin
+          best.(k) <- c;
+          from.(k) <- j
+        end
+      done
+    end
+  done;
+  !edges
+
+let solve_table ?allowed ?offsets ~dist ~vectors ~n_layers () =
+  run_layers ~relax:(relax_table dist) ?allowed ?offsets
+    ~width:(Array.length dist) ~vectors ~n_layers ()
+
+(* ------------------------------------------------------------------ *)
+(* Array groups                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Multi-array form: the layer is the disjoint union of member blocks
+   (one per PIM array), each with its own mesh shape and arena slab,
+   concatenated in member order so a global node index is
+   [base.(i) + local]. Within a block the relaxation is the separable
+   core on that block. Between blocks the inter-array fabric is a flat
+   metric — every node of member [jm] reaches every node of member [i]
+   at the same price [move_cost jm i] — so the cross product of block
+   nodes collapses to one scalar edge per ordered member pair: take each
+   source member's entry minimum (lowest global rank on ties), add the
+   member-pair move cost, and offer it to every node of the target
+   block. Cross edges are applied after the intra pass with a strict
+   [<], sources visited in ascending member order, so staying inside
+   the member wins every tie and a 1-member group is byte-identical to
+   [solve_axes]. *)
+let solve_group ~members ~move_cost ~consts ~n_layers ~allowed () =
   let n_members = Array.length members in
   if n_members <= 0 then invalid_arg "Layered: members must be nonempty";
   if n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  let widths =
-    Array.map
-      (fun m ->
-        let cols = Array.length m.g_xdist and rows = Array.length m.g_ydist in
-        if cols <= 0 || rows <= 0 then
-          invalid_arg "Layered: member axis tables must be nonempty";
-        cols * rows)
+  let widths = Array.map (fun m -> check_shape m.g_shape) members in
+  let offs =
+    Array.mapi
+      (fun i m ->
+        layer_offsets ~offsets:m.g_offsets ~vectors:m.g_vectors
+          ~width:widths.(i) ~n_layers ())
       members
   in
   let bases = Array.make (n_members + 1) 0 in
@@ -292,79 +369,44 @@ let solve_group_general ~members ~move_cost ~consts ~n_layers ~allowed () =
     bases.(i + 1) <- bases.(i) + widths.(i)
   done;
   let total = bases.(n_members) in
-  Array.iteri
-    (fun i m ->
-      let dim = Bigarray.Array1.dim m.g_vectors in
-      if Array.length m.g_offsets < n_layers then
-        invalid_arg "Layered: member offset table shorter than n_layers";
-      Array.iter
-        (fun off ->
-          if off < 0 || off + widths.(i) > dim then
-            invalid_arg "Layered: member layer offset outside the vector buffer")
-        m.g_offsets)
-    members;
   Obs.Span.with_ ~name:"layered.solve_group" @@ fun () ->
-  let inf = max_int in
+  let allowed = Some allowed in
   let cur = Array.make total inf in
   let choice = Array.make_matrix n_layers total (-1) in
   for i = 0 to n_members - 1 do
-    let m = members.(i) in
-    let off0 = m.g_offsets.(0) and b = bases.(i) in
-    let c0 = consts ~layer:0 ~member:i in
-    for j = 0 to widths.(i) - 1 do
-      if allowed ~layer:0 (b + j) then cur.(b + j) <- m.g_vectors.{off0 + j} + c0
-    done
+    enter ~cur ~base:bases.(i) ~width:widths.(i) ~vectors:members.(i).g_vectors
+      ~off:offs.(i).(0) ~add:(consts ~layer:0 ~member:i) ~allowed
   done;
   let best = Array.make total inf in
   let from = Array.make total (-1) in
   let minv = Array.make n_members inf in
   let minr = Array.make n_members (-1) in
-  let nodes = ref 0 in
+  let nodes = ref 0 and edges = ref 0 in
   for layer = 1 to n_layers - 1 do
-    Array.fill best 0 total inf;
+    nodes := !nodes + count_finite cur ~lo:0 ~hi:total;
     (* per-member entry minima over the previous layer: the single source
        every outgoing cross edge of that member reroots at (lowest global
        rank on ties, matching the ascending scans everywhere else) *)
     for i = 0 to n_members - 1 do
       minv.(i) <- inf;
       minr.(i) <- -1;
-      let b = bases.(i) in
-      for j = 0 to widths.(i) - 1 do
-        let d = cur.(b + j) in
-        if d < minv.(i) then begin
-          minv.(i) <- d;
-          minr.(i) <- b + j
+      for g = bases.(i) to bases.(i + 1) - 1 do
+        if cur.(g) < minv.(i) then begin
+          minv.(i) <- cur.(g);
+          minr.(i) <- g
         end
       done
     done;
     for i = 0 to n_members - 1 do
-      let m = members.(i) in
-      let cols = Array.length m.g_xdist and rows = Array.length m.g_ydist in
-      let b = bases.(i) in
-      for j = 0 to widths.(i) - 1 do
-        let dj = cur.(b + j) in
-        if dj <> inf then begin
-          incr nodes;
-          let xrow = m.g_xdist.(j mod cols) and yrow = m.g_ydist.(j / cols) in
-          let k = ref b in
-          for ky = 0 to rows - 1 do
-            let basey = dj + yrow.(ky) in
-            for kx = 0 to cols - 1 do
-              let c = basey + xrow.(kx) in
-              if c < best.(!k) then begin
-                best.(!k) <- c;
-                from.(!k) <- b + j
-              end;
-              incr k
-            done
-          done
-        end
-      done
+      edges :=
+        !edges
+        + relax_block members.(i).g_shape ~cur ~best ~from ~base:bases.(i)
     done;
     for i = 0 to n_members - 1 do
       let cv = ref inf and cf = ref (-1) in
       for jm = 0 to n_members - 1 do
         if jm <> i && minv.(jm) <> inf then begin
+          incr edges;
           let c = minv.(jm) + move_cost jm i in
           if c < !cv then begin
             cv := c;
@@ -372,60 +414,26 @@ let solve_group_general ~members ~move_cost ~consts ~n_layers ~allowed () =
           end
         end
       done;
-      if !cf >= 0 then begin
-        let b = bases.(i) in
-        for k = 0 to widths.(i) - 1 do
-          if !cv < best.(b + k) then begin
-            best.(b + k) <- !cv;
-            from.(b + k) <- !cf
+      if !cf >= 0 then
+        for g = bases.(i) to bases.(i + 1) - 1 do
+          if !cv < best.(g) then begin
+            best.(g) <- !cv;
+            from.(g) <- !cf
           end
         done
-      end
     done;
-    let ch = choice.(layer) in
     for i = 0 to n_members - 1 do
-      let m = members.(i) in
-      let voff = m.g_offsets.(layer) and b = bases.(i) in
-      let ci = consts ~layer ~member:i in
-      for k = 0 to widths.(i) - 1 do
-        let g = b + k in
-        if best.(g) <> inf && allowed ~layer g then begin
-          cur.(g) <- best.(g) + m.g_vectors.{voff + k} + ci;
-          ch.(g) <- from.(g)
-        end
-        else cur.(g) <- inf
-      done
+      settle ~cur ~best ~from ~ch:choice.(layer) ~base:bases.(i)
+        ~width:widths.(i) ~vectors:members.(i).g_vectors
+        ~off:offs.(i).(layer) ~add:(consts ~layer ~member:i) ~allowed ~layer
     done
   done;
-  report_solve ~nodes:!nodes ~edges:(!nodes * total);
-  let best_node = ref (-1) in
-  for j = 0 to total - 1 do
-    if cur.(j) <> inf && (!best_node = -1 || cur.(j) < cur.(!best_node)) then
-      best_node := j
-  done;
-  if !best_node = -1 then None
-  else begin
-    let centers = Array.make n_layers (-1) in
-    centers.(n_layers - 1) <- !best_node;
-    for layer = n_layers - 1 downto 1 do
-      centers.(layer - 1) <- choice.(layer).(centers.(layer))
-    done;
-    Some (cur.(!best_node), centers)
-  end
-
-let solve_group = solve_group_general
-
-let solve_dense ~dist ~vectors =
-  match solve_dense_general ~dist ~vectors ~allowed:(fun ~layer:_ _ -> true)
-  with
-  | Some r -> r
-  | None -> assert false (* unrestricted problem is always feasible *)
-
-let solve_dense_filtered ~dist ~vectors ~allowed =
-  solve_dense_general ~dist ~vectors ~allowed
+  report_solve ~nodes:!nodes ~edges:!edges;
+  backtrack ~cur ~choice ~n_layers
 
 let to_digraph p =
-  validate p;
+  if p.n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
+  if p.width <= 0 then invalid_arg "Layered: width must be positive";
   let node_id ~layer j = 2 + (layer * p.width) + j in
   let source = 0 and sink = 1 in
   let g = Digraph.create ~n_nodes:(2 + (p.n_layers * p.width)) in

@@ -1,13 +1,27 @@
 (** Layered shortest-path DP, the shape of the GOMCDS cost-graph.
 
     A layered problem has [n_layers] layers of [width] nodes each, plus an
-    implicit source before layer 0 and sink after the last layer. Edge
-    weights are given by callbacks, so the O(n·m²) dynamic program runs
-    without materializing the graph — GOMCDS calls this once per datum. The
-    explicit-{!Digraph} route (via {!to_digraph}) exists for cross-checking
-    against {!Shortest_path}. *)
+    implicit source before layer 0 and sink after the last layer. Node
+    costs live in the layers' cost vectors; a step from layer to layer
+    pays the distance between the two nodes. Every solver returns the
+    minimal source→sink cost and one witness, breaking ties the same way:
+    each node keeps the {e lowest-index} cheapest predecessor, and the
+    path ends at the lowest-index cheapest node of the last layer.
 
-(** Flat layer-vector buffer for the axis-table solvers: a 1-D [int]
+    - {!solve_axes} is the production core. Because the step distance is
+      the x-y routing distance of a mesh or torus — unit L1 per axis,
+      circular on a torus — each layer's min-plus relaxation is an exact
+      separable distance transform: O(width) per layer, O(windows·P) per
+      datum (DESIGN.md §"Separable DP").
+    - {!solve_table} is the fallback for distances that are not separable
+      (link-fault BFS tables): O(width²) per layer, straight table reads.
+    - {!solve_group} runs the core per member of a multi-array group.
+    - {!solve}/{!solve_filtered} take edge weights as callbacks —
+      O(n_layers·width²) closure calls — for the generic problems
+      (the adaptation DP) and for cross-checks against {!Shortest_path} via
+      {!to_digraph}. *)
+
+(** Flat layer-vector buffer for the table-reading solvers: a 1-D [int]
     bigarray, so arena slabs can be allocated {e uninitialized} (only
     rows actually written cost memory traffic — an [int array] would
     zero-fill every row on allocation). *)
@@ -35,69 +49,62 @@ val solve : problem -> int * int array
 val solve_filtered :
   problem -> allowed:(layer:int -> int -> bool) -> (int * int array) option
 
-(** [solve_dense ~dist ~vectors] is {!solve} specialized to the cost shape
-    every scheduler here uses — [enter_cost j = vectors.(0).(j)] and
-    [step_cost ~layer j k = dist.(j).(k) + vectors.(layer).(k)] — with the
-    tables read directly in the inner loop (no closure per edge).
-    [vectors] has one row per layer; [dist] is [width] × [width]. Results,
-    including tie-breaking, are identical to the callback form. *)
-val solve_dense : dist:int array array -> vectors:int array array -> int * int array
+(** The shape of a row-major [rows]×[cols] processor array: node
+    [j = y·cols + x], step distance [dx + dy] with each axis distance
+    [|a - b|], or [min(|a - b|, extent - |a - b|)] when [wrap] (torus). *)
+type shape = { cols : int; rows : int; wrap : bool }
 
-(** [solve_dense_filtered ~dist ~vectors ~allowed] is {!solve_filtered} on
-    the same dense representation. *)
-val solve_dense_filtered :
-  dist:int array array ->
-  vectors:int array array ->
-  allowed:(layer:int -> int -> bool) ->
-  (int * int array) option
+(** [solve_axes ?allowed ?offsets ~shape ~vectors ~n_layers ()] is the
+    layered DP whose step cost is the routing distance of [shape] and
+    whose layer costs are rows of one flat buffer: layer [w] occupies
+    [vectors.{offsets.(w)} .. vectors.{offsets.(w) + width - 1}] with
+    [width = cols·rows]. Offsets may repeat — a compact arena slab from
+    {!Sched.Problem.layer_slab} points every non-referencing layer at one
+    shared zero row; when omitted the rows are back to back
+    ([offsets.(w) = w·width]). [allowed ~layer j = false] removes node [j]
+    from layer [layer] (applied to the targets of each step, and to
+    layer 0).
 
-(** [solve_axes ?offsets ~xdist ~ydist ~vectors ~width ~n_layers ()] is
-    {!solve_dense} with the step distance decomposed onto the two per-axis
-    tables of a row-major [rows]×[cols] mesh — [xdist] is [cols]×[cols],
-    [ydist] [rows]×[rows], [width = cols·rows] and
-    [dist(j, k) = xdist.(j mod cols).(k mod cols) +
-    ydist.(j / cols).(k / cols)] — so no O(width²) rank-to-rank matrix is
-    ever materialized. [vectors] is one flat buffer holding the layer cost
-    rows: layer [w] occupies
-    [vectors.(offsets.(w)) .. vectors.(offsets.(w) + width - 1)]. Offsets
-    may repeat — a compact arena slab from {!Sched.Problem.layer_slab}
-    points every non-referencing layer at one shared zero row. When
-    [offsets] is omitted the rows are assumed back to back
-    ([offsets.(w) = w·width]). Results, including every tie-break, are
-    identical to {!solve_dense} over the factored full table.
-    @raise Invalid_argument if the axis tables do not factor [width], an
-    offset row overruns the buffer, or (without [offsets]) the buffer is
-    shorter than [n_layers · width]. *)
+    Each layer step is a lexicographic (cost, source index) distance
+    transform — an x pass along every row, then a y pass along every
+    column, each one forward and one backward sweep (circular on a
+    torus) — so costs, predecessors and witnesses equal those of the
+    dense O(width²) relaxation exactly. Returns [None] only when
+    [allowed] empties some layer.
+    @raise Invalid_argument on non-positive extents or [n_layers], an
+    offset table shorter than [n_layers], an offset row outside the
+    buffer, or (without [offsets]) a buffer shorter than
+    [n_layers · width]. *)
 val solve_axes :
+  ?allowed:(layer:int -> int -> bool) ->
   ?offsets:int array ->
-  xdist:int array array ->
-  ydist:int array array ->
+  shape:shape ->
   vectors:buffer ->
-  width:int ->
   n_layers:int ->
   unit ->
-  int * int array
+  (int * int array) option
 
-(** [solve_axes_filtered ?offsets ~xdist ~ydist ~vectors ~width ~n_layers
-    ~allowed ()] is {!solve_filtered} on the axis-table representation. *)
-val solve_axes_filtered :
+(** [solve_table ?allowed ?offsets ~dist ~vectors ~n_layers ()] is
+    {!solve_axes} with the step cost read from an explicit
+    [width]×[width] table ([width = Array.length dist]) — the fallback
+    for distances that do not separate by axis, such as the BFS table of
+    a mesh with dead links. Same tie-breaking; O(width²) per layer.
+    @raise Invalid_argument as {!solve_axes}. *)
+val solve_table :
+  ?allowed:(layer:int -> int -> bool) ->
   ?offsets:int array ->
-  xdist:int array array ->
-  ydist:int array array ->
+  dist:int array array ->
   vectors:buffer ->
-  width:int ->
   n_layers:int ->
-  allowed:(layer:int -> int -> bool) ->
   unit ->
   (int * int array) option
 
 (** One member block of a multi-array layered problem (see
-    {!solve_group}): the member's two per-axis distance tables, its flat
-    arena slab and the per-layer offset table into it — exactly the
-    inputs {!solve_axes} takes for a single array. *)
+    {!solve_group}): the member's mesh shape, its flat arena slab and the
+    per-layer offset table into it — exactly the inputs {!solve_axes}
+    takes for a single array. *)
 type group_member = {
-  g_xdist : int array array;  (** [cols]×[cols] x-axis distance table *)
-  g_ydist : int array array;  (** [rows]×[rows] y-axis distance table *)
+  g_shape : shape;
   g_vectors : buffer;  (** the member's flat layer-vector slab *)
   g_offsets : int array;  (** row offset of each layer in [g_vectors] *)
 }
@@ -108,25 +115,25 @@ type group_member = {
     node index of member [i]'s local node [j] is
     [Σ_{i' < i} width(i') + j] — the {!Multi.Array_group} rank), and a
     trajectory may either step within its member (priced by the member's
-    axis tables, exactly as {!solve_axes}) or migrate to any node of
+    shape, exactly as {!solve_axes}) or migrate to any node of
     another member at the flat inter-array price [move_cost src dst]
     ([src]/[dst] are {e member} indices, only read for [src <> dst]).
     Because the inter-array metric is flat, the block-to-block cross
     product collapses to one scalar edge per ordered member pair — per
-    layer the DP costs O(Σ width(i)² + n_members²), never
-    O((Σ width)²). [consts ~layer ~member] is added to every node of the
-    member in that layer (the cross-array reference cost of hosting the
-    datum there — a constant per member, see DESIGN.md §12).
+    layer the DP costs O(Σ width(i) + n_members²). [consts ~layer
+    ~member] is added to every node of the member in that layer (the
+    cross-array reference cost of hosting the datum there — a constant
+    per member, see DESIGN.md §12).
 
-    Tie-breaking: the intra-member relaxation runs first with the usual
-    ascending scans; cross edges are applied after with the same strict
+    Tie-breaking: the intra-member relaxation runs first (the core's
+    lowest-index rule); cross edges are applied after with a strict
     [<] (the source is each member's previous-layer entry minimum,
     lowest global rank on ties, members visited ascending), so staying
     inside a member beats migrating at equal cost, and a 1-member group
     with zero [consts] is byte-identical to {!solve_axes}. Returns
     [None] when [allowed] empties some layer.
-    @raise Invalid_argument on empty [members], non-positive [n_layers],
-    empty member axis tables, or an offset row outside a member slab. *)
+    @raise Invalid_argument on empty [members], non-positive [n_layers]
+    or member extents, or an offset row outside a member slab. *)
 val solve_group :
   members:group_member array ->
   move_cost:(int -> int -> int) ->

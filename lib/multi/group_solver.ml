@@ -13,8 +13,8 @@ let dp_all gp =
   let nm = Group_problem.n_members gp in
   let nd = Group_problem.n_data gp in
   let nw = Group_problem.n_windows gp in
-  let axes =
-    Array.init nm (fun m -> Sched.Problem.axis_tables (Group_problem.sub gp m))
+  let shapes =
+    Array.init nm (fun m -> Sched.Problem.shape (Group_problem.sub gp m))
   in
   let alive = alive_mask gp in
   let move_cost i j = Array_group.move_cost group i j in
@@ -24,10 +24,8 @@ let dp_all gp =
             let slab, offs =
               Sched.Problem.layer_slab (Group_problem.sub gp m) ~data:d
             in
-            let xdist, ydist = axes.(m) in
             {
-              Pathgraph.Layered.g_xdist = xdist;
-              g_ydist = ydist;
+              Pathgraph.Layered.g_shape = shapes.(m);
               g_vectors = slab;
               g_offsets = offs;
             })

@@ -67,8 +67,8 @@ val y_distance_table : t -> int array array
 (** [distance_table m] materializes the full rank-to-rank distance matrix:
     [(distance_table m).(a).(b) = distance m a b]. {b Oracle-only}: since
     the flat-arena rewrite no scheduling path consumes this — distance
-    probes read the two per-axis tables above and the layered DP runs on
-    them directly ({!Pathgraph.Layered.solve_axes}); the only remaining
+    probes read the two per-axis tables above and the layered DP needs
+    only the mesh shape ({!Pathgraph.Layered.solve_axes}); the only remaining
     consumer is the [`Naive] cost kernel's private table
     ({!Sched.Cost.Naive}), kept as the cross-check oracle. Costs
     [size m]² words — don't call it on a hot path. *)

@@ -10,8 +10,9 @@ let oracle_of_fault mesh fault =
 
 (* The pre-model engine, kept verbatim as the pinned oracle for the
    differential suite (test_timed_model.ml): [run ~model:degenerate] must
-   reproduce these reports byte-identically. Like Cost.Naive and
-   Layered.solve_dense, this copy is the spec — including its O(n²)
+   reproduce these reports byte-identically. Like Cost.Naive and the
+   dense layered DP oracle of the test suite, this copy is the spec —
+   including its O(n²)
    [List.mem] membership scan, which the live engine replaces with a
    hash-set. Do not "fix" it. *)
 module Reference = struct

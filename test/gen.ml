@@ -61,7 +61,34 @@ let window_print w = Format.asprintf "%a" Reftrace.Window.pp w
 let single_datum_window_arbitrary ?mesh ~max_count () =
   QCheck.make ~print:window_print (single_datum_window_gen ?mesh ~max_count ())
 
-let to_alcotest = QCheck_alcotest.to_alcotest
+(* The run's QCheck seed: [QCHECK_SEED] when set, a fresh one otherwise.
+   Every property draws its random state from it afresh, and a failing
+   property prints it, so the failure replays from its own log line with
+   [QCHECK_SEED=<seed> test_main.exe test <suite> <index>]. *)
+let seed =
+  lazy
+    (let s =
+       match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+       | Some s -> s
+       | None ->
+           Random.self_init ();
+           Random.int 1_000_000_000
+     in
+     Printf.printf "qcheck random seed: %d\n%!" s;
+     s)
+
+let to_alcotest test =
+  let seed = Lazy.force seed in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
+  in
+  ( name,
+    speed,
+    fun () ->
+      try run ()
+      with e ->
+        Printf.printf "property %S failed under QCHECK_SEED=%d\n%!" name seed;
+        raise e )
 
 (* Shorthand for a plain unit test case. *)
 let case name f = Alcotest.test_case name `Quick f

@@ -5,8 +5,12 @@
    - arena-backed vectors vs per-array [Cost.cost_vector] builds;
    - [Cost.argmin_of_marginals] vs the full-vector ascending argmin, on
      meshes and tori (circular prefix sums);
-   - [Layered.solve_axes(_filtered)] vs the pre-rewrite full-table dense
-     DP ([Layered.solve_dense(_filtered)], kept exported as the oracle);
+   - the separable [Layered.solve_axes] core and the [Layered.solve_table]
+     fallback vs the full-table dense DP ([Layered_oracle], test-only),
+     on tie-heavy vectors, degenerate rings and lines, even and odd tori
+     and masks that kill whole rows; [Layered.solve_group] vs a dense
+     whole-group oracle; [Grouping]'s [`Global] centers vs the closure
+     DP they used to run through;
    - the [Problem.t]-ported [Annealing]/[Online] vs verbatim copies of
      their pre-port standalone implementations, at fixed seeds, serial
      and at jobs = 4;
@@ -116,19 +120,47 @@ let prop_problem_centers_match_vector mesh label =
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)
-(* (c) axis-table layered DP vs the full-table dense oracle            *)
+(* (c) separable layered DP vs the full-table dense oracle             *)
 (* ------------------------------------------------------------------ *)
+
+let shape_of mesh =
+  {
+    Pathgraph.Layered.cols = Pim.Mesh.cols mesh;
+    rows = Pim.Mesh.rows mesh;
+    wrap = Pim.Mesh.wraps mesh;
+  }
 
 (* random layered instance over a real mesh: vectors plus, for the
    filtered variant, a per-(layer, node) mask (not forced feasible — an
-   infeasible instance must yield None on both sides) *)
+   infeasible instance must yield None on both sides). Half the
+   instances are tie-heavy (entries 0-2), some layers are all zero, and
+   the mask kills whole mesh rows and columns now and then, so entire
+   source lines of the next step are unreachable. *)
 let layered_instance_gen mesh =
   let open QCheck.Gen in
   let m = Pim.Mesh.size mesh in
-  int_range 1 4 >>= fun n_layers ->
-  array_size (return (n_layers * m)) (int_range 0 20) >>= fun flat ->
-  array_size (return (n_layers * m)) (frequencyl [ (4, true); (1, false) ])
-  >>= fun mask -> return (n_layers, flat, mask)
+  let cols = Pim.Mesh.cols mesh in
+  int_range 1 5 >>= fun n_layers ->
+  oneofl [ 2; 20 ] >>= fun hi ->
+  array_size (return (n_layers * m)) (int_range 0 hi) >>= fun flat ->
+  array_size (return n_layers) (frequencyl [ (1, true); (3, false) ])
+  >>= fun zero_layer ->
+  array_size (return (n_layers * m)) (frequencyl [ (6, true); (1, false) ])
+  >>= fun mask ->
+  array_size (return n_layers) (int_range (-1) (Pim.Mesh.rows mesh - 1))
+  >>= fun dead_row ->
+  array_size (return n_layers) (int_range (-1) (cols - 1)) >>= fun dead_col ->
+  let flat =
+    Array.mapi (fun i v -> if zero_layer.(i / m) then 0 else v) flat
+  in
+  let mask =
+    Array.mapi
+      (fun i ok ->
+        let layer = i / m and j = i mod m in
+        ok && j / cols <> dead_row.(layer) && j mod cols <> dead_col.(layer))
+      mask
+  in
+  return (n_layers, flat, mask)
 
 let layered_print (n_layers, flat, mask) =
   Format.asprintf "%d layers, vectors [|%s|], mask [|%s|]" n_layers
@@ -143,8 +175,7 @@ let prop_solve_axes_matches_dense mesh label =
     ~count:60 arb (fun (n_layers, flat, mask) ->
       let m = Pim.Mesh.size mesh in
       let dist = Pim.Mesh.distance_table mesh in
-      let xdist = Pim.Mesh.x_distance_table mesh
-      and ydist = Pim.Mesh.y_distance_table mesh in
+      let shape = shape_of mesh in
       let vectors =
         Array.init n_layers (fun w -> Array.sub flat (w * m) m)
       in
@@ -152,16 +183,17 @@ let prop_solve_axes_matches_dense mesh label =
       let buffer_of a =
         Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout a
       in
-      let dense = Pathgraph.Layered.solve_dense ~dist ~vectors in
-      let unfiltered_equal =
-        Pathgraph.Layered.solve_axes ~xdist ~ydist
-          ~vectors:(buffer_of flat) ~width:m ~n_layers ()
-        = dense
+      let dense = Some (Layered_oracle.solve_dense ~dist ~vectors) in
+      let dense_filtered =
+        Layered_oracle.solve_dense_filtered ~dist ~vectors ~allowed
       in
-      let filtered_equal =
-        Pathgraph.Layered.solve_axes_filtered ~xdist ~ydist
-          ~vectors:(buffer_of flat) ~width:m ~n_layers ~allowed ()
-        = Pathgraph.Layered.solve_dense_filtered ~dist ~vectors ~allowed
+      let axes ?allowed ?offsets flat =
+        Pathgraph.Layered.solve_axes ?allowed ?offsets ~shape
+          ~vectors:(buffer_of flat) ~n_layers ()
+      in
+      let table ?allowed flat =
+        Pathgraph.Layered.solve_table ?allowed ~dist ~vectors:(buffer_of flat)
+          ~n_layers ()
       in
       (* explicit offsets: store the layer rows in reverse order and point
          offsets.(w) at the right one — the compact-arena access pattern *)
@@ -172,12 +204,180 @@ let prop_solve_axes_matches_dense mesh label =
       Array.iteri
         (fun w off -> Array.blit flat (w * m) rev off m)
         offsets;
-      let offsets_equal =
-        Pathgraph.Layered.solve_axes ~offsets ~xdist ~ydist
-          ~vectors:(buffer_of rev) ~width:m ~n_layers ()
-        = dense
+      axes flat = dense
+      && axes ~allowed flat = dense_filtered
+      && axes ~offsets rev = dense
+      && table flat = dense
+      && table ~allowed flat = dense_filtered)
+
+(* degenerate and odd shapes for the separable core: rings of extent 1
+   and 2 (where the circular sweep must reduce to a line), single rows
+   and columns, and tori of even and odd extents *)
+let dp_shapes =
+  [
+    (Pim.Mesh.torus ~rows:1 ~cols:1, "1x1 ring");
+    (Pim.Mesh.torus ~rows:1 ~cols:2, "1x2 ring");
+    (Pim.Mesh.torus ~rows:2 ~cols:2, "2x2 torus");
+    (Pim.Mesh.torus ~rows:2 ~cols:5, "2x5 torus");
+    (Pim.Mesh.torus ~rows:1 ~cols:7, "1x7 ring");
+    (Pim.Mesh.torus ~rows:6 ~cols:1, "6x1 ring");
+    (Pim.Mesh.torus ~rows:6 ~cols:4, "6x4 torus");
+    (Pim.Mesh.torus ~rows:5 ~cols:3, "5x3 torus");
+    (Pim.Mesh.create ~rows:1 ~cols:9, "1x9 mesh");
+    (Pim.Mesh.create ~rows:9 ~cols:1, "9x1 mesh");
+    (Pim.Mesh.create ~rows:3 ~cols:6, "3x6 mesh");
+  ]
+
+(* Oracle for GOMCDS-grouped's [`Global] centers: the same greedy
+   partition ([`Local] groups), each group's summed cost vector as a
+   layer, steps priced by [Problem.distance] through the callback
+   [Layered.solve_filtered], dead ranks masked *)
+let oracle_global_groups problem ~data =
+  let local = Sched.Grouping.groups problem ~data ~centers:`Local in
+  match local with
+  | [] -> []
+  | _ ->
+      let vecs =
+        Array.of_list
+          (List.map
+             (fun { Sched.Grouping.first; last; _ } ->
+               let v = Array.make (Pim.Mesh.size (Sched.Problem.mesh problem)) 0 in
+               for w = first to last do
+                 let row = Sched.Problem.cost_vector problem ~window:w ~data in
+                 Array.iteri (fun k c -> v.(k) <- v.(k) + c) row
+               done;
+               v)
+             local)
       in
-      unfiltered_equal && filtered_equal && offsets_equal)
+      let p =
+        {
+          Pathgraph.Layered.n_layers = Array.length vecs;
+          width = Array.length vecs.(0);
+          enter_cost = (fun j -> vecs.(0).(j));
+          step_cost =
+            (fun ~layer j k ->
+              Sched.Problem.distance problem j k + vecs.(layer).(k));
+        }
+      in
+      let _, centers =
+        Option.get
+          (Pathgraph.Layered.solve_filtered p ~allowed:(fun ~layer:_ j ->
+               Sched.Problem.rank_alive problem j))
+      in
+      List.mapi (fun i g -> { g with Sched.Grouping.center = centers.(i) }) local
+
+let prop_global_grouping_matches_closure_dp (mesh, fault, label) =
+  let arb =
+    Gen.trace_arbitrary ~mesh ~max_data:4 ~max_windows:6 ~max_count:3 ()
+  in
+  QCheck.Test.make
+    ~name:("Grouping `Global centers equal the closure DP, " ^ label)
+    ~count:40 arb (fun trace ->
+      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      List.for_all
+        (fun data ->
+          Sched.Grouping.groups problem ~data ~centers:`Global
+          = oracle_global_groups problem ~data)
+        (List.init (Sched.Problem.n_data problem) Fun.id))
+
+let grouping_cases =
+  [
+    (Gen.mesh44, Pim.Fault.none, "mesh");
+    (torus35, Pim.Fault.none, "torus");
+    (Gen.mesh44, Pim.Fault.create ~dead_nodes:[ 0; 5; 10 ] (), "node-faulted mesh");
+    ( Gen.mesh44,
+      Pim.Fault.create ~dead_links:[ (1, 2); (5, 6); (6, 10) ] (),
+      "link-faulted mesh" );
+  ]
+
+(* random array group for [Layered.solve_group]: 1-3 members of mixed
+   shapes (meshes, tori, rings), a random member-pair fabric price,
+   per-(layer, member) constants, tie-heavy vectors and a node mask *)
+let group_instance_gen =
+  let open QCheck.Gen in
+  let shape_gen =
+    triple (int_range 1 4) (int_range 1 4) bool >|= fun (cols, rows, wrap) ->
+    { Pathgraph.Layered.cols; rows; wrap }
+  in
+  int_range 1 3 >>= fun n_members ->
+  list_size (return n_members) shape_gen >>= fun shapes ->
+  let shapes = Array.of_list shapes in
+  let total =
+    Array.fold_left (fun acc s -> acc + (s.Pathgraph.Layered.cols * s.rows)) 0 shapes
+  in
+  int_range 1 4 >>= fun n_layers ->
+  oneofl [ 2; 12 ] >>= fun hi ->
+  array_size (return (n_layers * total)) (int_range 0 hi) >>= fun flat ->
+  array_size (return (n_members * n_members)) (int_range 0 6) >>= fun move ->
+  array_size (return (n_layers * n_members)) (int_range 0 3) >>= fun consts ->
+  array_size (return (n_layers * total)) (frequencyl [ (6, true); (1, false) ])
+  >>= fun mask -> return (shapes, n_layers, flat, move, consts, mask)
+
+let group_print (shapes, n_layers, flat, move, consts, mask) =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Format.asprintf "members [%s], %d layers, vectors [|%s|], move [|%s|], \
+                   consts [|%s|], mask [|%s|]"
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun { Pathgraph.Layered.cols; rows; wrap } ->
+               Printf.sprintf "%dx%d%s" rows cols (if wrap then " torus" else ""))
+             shapes)))
+    n_layers (ints flat) (ints move) (ints consts)
+    (String.concat ";"
+       (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
+
+let prop_solve_group_matches_dense =
+  QCheck.Test.make ~name:"solve_group equals the dense whole-group oracle"
+    ~count:100
+    (QCheck.make ~print:group_print group_instance_gen)
+    (fun (shapes, n_layers, flat, move, consts, mask) ->
+      let n_members = Array.length shapes in
+      let widths = Array.map (fun s -> s.Pathgraph.Layered.cols * s.rows) shapes in
+      let total = Array.fold_left ( + ) 0 widths in
+      let bases = Array.make n_members 0 in
+      for i = 1 to n_members - 1 do
+        bases.(i) <- bases.(i - 1) + widths.(i - 1)
+      done;
+      let member = Array.make total 0 in
+      Array.iteri
+        (fun i b -> for g = b to b + widths.(i) - 1 do member.(g) <- i done)
+        bases;
+      (* each member's slab holds its layer rows back to back *)
+      let members =
+        Array.mapi
+          (fun i shape ->
+            let w = widths.(i) in
+            let slab =
+              Array.init (n_layers * w) (fun x ->
+                  flat.(((x / w) * total) + bases.(i) + (x mod w)))
+            in
+            {
+              Pathgraph.Layered.g_shape = shape;
+              g_vectors =
+                Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout slab;
+              g_offsets = Array.init n_layers (fun l -> l * w);
+            })
+          shapes
+      in
+      let move_cost a b = move.((a * n_members) + b) in
+      let consts ~layer ~member = consts.((layer * n_members) + member) in
+      let allowed ~layer g = mask.((layer * total) + g) in
+      let intra a b =
+        let s = shapes.(member.(a)) in
+        let a = a - bases.(member.(a)) and b = b - bases.(member.(b)) in
+        let axis ~extent p q =
+          let d = abs (p - q) in
+          if s.Pathgraph.Layered.wrap then min d (extent - d) else d
+        in
+        axis ~extent:s.cols (a mod s.cols) (b mod s.cols)
+        + axis ~extent:s.rows (a / s.cols) (b / s.cols)
+      in
+      let vectors = Array.init n_layers (fun l -> Array.sub flat (l * total) total) in
+      Pathgraph.Layered.solve_group ~members ~move_cost ~consts ~n_layers
+        ~allowed ()
+      = Layered_oracle.solve_group_dense ~member ~intra ~move_cost ~consts
+          ~vectors ~allowed)
 
 (* ------------------------------------------------------------------ *)
 (* (d) ported Annealing / Online vs their pre-port implementations     *)
@@ -604,8 +804,7 @@ let prop_axis_cost_oracle ~wrap label =
 (* ------------------------------------------------------------------ *)
 
 let solve_axes_validation_cases =
-  let xdist = Pim.Mesh.x_distance_table Gen.mesh44
-  and ydist = Pim.Mesh.y_distance_table Gen.mesh44 in
+  let shape = shape_of Gen.mesh44 in
   let m = Pim.Mesh.size Gen.mesh44 in
   let buffer n =
     Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout
@@ -618,14 +817,14 @@ let solve_axes_validation_cases =
   in
   [
     rejects "solve_axes rejects a short flat buffer" (fun () ->
-        Pathgraph.Layered.solve_axes ~xdist ~ydist
-          ~vectors:(buffer ((2 * m) - 1)) ~width:m ~n_layers:2 ());
+        Pathgraph.Layered.solve_axes ~shape ~vectors:(buffer ((2 * m) - 1))
+          ~n_layers:2 ());
     rejects "solve_axes rejects a short offset table" (fun () ->
-        Pathgraph.Layered.solve_axes ~offsets:[| 0 |] ~xdist ~ydist
-          ~vectors:(buffer (2 * m)) ~width:m ~n_layers:2 ());
+        Pathgraph.Layered.solve_axes ~offsets:[| 0 |] ~shape
+          ~vectors:(buffer (2 * m)) ~n_layers:2 ());
     rejects "solve_axes rejects an out-of-range offset" (fun () ->
-        Pathgraph.Layered.solve_axes ~offsets:[| 0; (m * 2) - 1 |] ~xdist
-          ~ydist ~vectors:(buffer (2 * m)) ~width:m ~n_layers:2 ());
+        Pathgraph.Layered.solve_axes ~offsets:[| 0; (m * 2) - 1 |] ~shape
+          ~vectors:(buffer (2 * m)) ~n_layers:2 ());
   ]
 
 let merged_memo_case =
@@ -706,6 +905,11 @@ let suite =
            prop_axis_cost_oracle ~wrap:true "circle";
            prop_merge_equals_replay;
          ];
+         List.map
+           (fun (mesh, label) -> prop_solve_axes_matches_dense mesh label)
+           dp_shapes;
+         List.map prop_global_grouping_matches_closure_dp grouping_cases;
+         [ prop_solve_group_matches_dense ];
        ])
   @ solve_axes_validation_cases
   @ [ merged_memo_case; unreferenced_datum_case ]

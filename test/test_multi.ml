@@ -5,7 +5,7 @@
      metric, and the virtual-mesh embedding;
    - the migration DP is pinned to a dense oracle: per datum, the full
      group distance matrix + full per-window cost vectors fed to
-     [Layered.solve_dense] must price exactly what [Group_solver] pays
+     [Layered_oracle.solve_dense] must price exactly what [Group_solver] pays
      under Gomcds — slab projection, cross-array constants and the
      scalar fabric edges all have to agree with the flat metric;
    - single-array degeneracy: a 1-member group is byte-identical to the
@@ -151,7 +151,7 @@ let dense_group_optimum group trace d =
               0
               (Reftrace.Window.profile win d)))
   in
-  Pathgraph.Layered.solve_dense ~dist ~vectors
+  Layered_oracle.solve_dense ~dist ~vectors
 
 let prop_dp_matches_dense_oracle =
   let group = hetero ~inter_cost:4 () in
