@@ -694,7 +694,7 @@ let gomcds_scaling () =
 (* Kernel dimension: separable vs naive cost-vector construction       *)
 (* ------------------------------------------------------------------ *)
 
-(* Three comparisons of the cost-arena fast paths on the LU 16x16 workload
+(* Two comparisons of the cost-arena fast paths on the LU 16x16 workload
    mapped onto a 16x16 array -- the size where the naive O(P x refs) walk
    actually hurts (the separable kernel is O(refs + rows + cols + P) per
    vector, so its edge grows with the reference density and with P). Run
@@ -702,15 +702,12 @@ let gomcds_scaling () =
    path has its own perf trail in BENCH_<rev>.json:
 
    - cost-vector construction: every referenced (window, datum) vector
-     built directly through [Cost.Naive.cost_vector] (the pre-refactor
-     profile-fold, one coordinate decode per (center, reference) term)
-     vs [Cost.cost_vector] (marginals + per-axis prefix sums). Gated:
-     separable must not be slower.
-   - end-to-end [Problem.prefetch_all] (jobs=1, fresh context per rep):
-     the same fill through the context layer, where the naive path reads
-     its private distance table and both kernels share the flat-arena
-     fill and cache bookkeeping -- a smaller, honest ratio.
-   - [Problem.prefetch_all] vs the retired PR 3 fill: one heap array per
+     built directly through the oracle library's [Naive_cost.cost_vector]
+     (the pre-refactor profile-fold, one coordinate decode per (center,
+     reference) term) vs [Cost.cost_vector] (marginals + per-axis prefix
+     sums). Gated: separable must not be slower.
+   - [Problem.prefetch_all] (jobs=1, fresh context per rep) vs the
+     retired PR 3 fill: one heap array per
      (window, datum) pair -- zero-reference pairs included -- assembled
      through [Cost.cost_vector] and parked in an option matrix, plus the
      lazy O(P^2) rank-to-rank distance table the old solve pipeline
@@ -760,7 +757,8 @@ let kernel_bench_on ~topology kmesh =
       windows
   in
   let naive =
-    time (build (fun w ~data -> Sched.Cost.Naive.cost_vector kmesh w ~data))
+    time
+      (build (fun w ~data -> Pim_oracle.Naive_cost.cost_vector kmesh w ~data))
   in
   let separable =
     time (build (fun w ~data -> Sched.Cost.cost_vector kmesh w ~data))
@@ -769,16 +767,16 @@ let kernel_bench_on ~topology kmesh =
   let capacity =
     Pim.Memory.capacity_for ~data_count:n_data ~mesh:kmesh ~headroom:2
   in
-  let prefetch ?fault kernel =
+  let prefetch ?fault () =
     let best = ref infinity in
     for _ = 1 to reps do
-      (* context creation (incl. the naive kernel's eager distance table)
-         stays outside the timer, and so does collecting the previous
+      (* context creation stays outside the timer, and so does collecting
+         the previous
          rep's garbage -- GC slices inside the timed region otherwise
          charge one rep's allocation to the next rep's clock *)
       let problem =
         Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity)
-          ~jobs:1 ~kernel ?fault kmesh trace
+          ~jobs:1 ?fault kmesh trace
       in
       Gc.full_major ();
       let t0 = Unix.gettimeofday () in
@@ -787,19 +785,18 @@ let kernel_bench_on ~topology kmesh =
     done;
     !best
   in
-  let pf_naive = prefetch `Naive in
-  let pf_separable = prefetch `Separable in
+  let pf_separable = prefetch () in
   (* Fault.none zero-overhead: a context carrying the explicit healthy
      fault must take the exact same fill path. The timing row is
      informational (wall clocks are noise-prone in CI); the gate is
      byte-identical arena rows. *)
-  let pf_fault_none = prefetch ~fault:Pim.Fault.none `Separable in
+  let pf_fault_none = prefetch ~fault:Pim.Fault.none () in
   let healthy =
     Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~jobs:1
-      ~kernel:`Separable kmesh trace
+      kmesh trace
   and fault_none =
     Sched.Problem.create ~policy:(Sched.Problem.Bounded capacity) ~jobs:1
-      ~kernel:`Separable ~fault:Pim.Fault.none kmesh trace
+      ~fault:Pim.Fault.none kmesh trace
   in
   List.iteri
     (fun w window ->
@@ -852,14 +849,10 @@ let kernel_bench_on ~topology kmesh =
   Printf.printf "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx\n"
     "construction, naive" (naive *. 1e3) "construction, separable"
     (separable *. 1e3) "construction speedup" speedup;
-  Printf.printf
-    "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx\n%-34s \
-     %9.1fx\n"
-    "prefetch_all, naive (table)" (pf_naive *. 1e3)
+  Printf.printf "%-34s %10.3f ms\n%-34s %10.3f ms\n%-34s %9.1fx\n"
     "prefetch_all, separable" (pf_separable *. 1e3)
-    "per-vector fill (pre-arena)" (pf_legacy *. 1e3) "prefetch_all speedup"
-    (pf_naive /. pf_separable) "arena speedup vs per-vector"
-    arena_speedup;
+    "per-vector fill (pre-arena)" (pf_legacy *. 1e3)
+    "arena speedup vs per-vector" arena_speedup;
   Printf.printf "%-34s %10.3f ms  (rows gated byte-identical)\n"
     "prefetch_all, Fault.none" (pf_fault_none *. 1e3);
   if separable > naive then begin
@@ -890,9 +883,7 @@ let kernel_bench_on ~topology kmesh =
       ("naive_ms", Obs.Json.Float (naive *. 1e3));
       ("separable_ms", Obs.Json.Float (separable *. 1e3));
       ("speedup", Obs.Json.Float speedup);
-      ("prefetch_naive_ms", Obs.Json.Float (pf_naive *. 1e3));
       ("prefetch_separable_ms", Obs.Json.Float (pf_separable *. 1e3));
-      ("prefetch_speedup", Obs.Json.Float (pf_naive /. pf_separable));
       ("prefetch_legacy_ms", Obs.Json.Float (pf_legacy *. 1e3));
       ("prefetch_fault_none_ms", Obs.Json.Float (pf_fault_none *. 1e3));
       ("arena_speedup_vs_per_vector", Obs.Json.Float arena_speedup);
@@ -1363,7 +1354,7 @@ let incremental_bench () =
 
    - degenerate honesty: under the degenerate model (unit bandwidth,
      store-and-forward, unbounded queues, zero compute) the live engine
-     must reproduce the pinned pre-model [Timed_simulator.Reference]
+     must reproduce the pinned pre-model [Pim_oracle.Timed_reference]
      report field-for-field, and must not cost wall time for it —
      gate: live <= 1.05x Reference, best-of reps with the serve_bench
      retry loop to damp timer noise. The identity check runs first,
@@ -1389,27 +1380,27 @@ let timed_bench () =
   in
   let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let rounds = Sched.Schedule.to_rounds schedule trace in
-  let reference = Pim.Timed_simulator.Reference.run kmesh rounds in
+  let reference = Pim_oracle.Timed_reference.run kmesh rounds in
   let live = Pim.Timed_simulator.run kmesh rounds in
   let identical =
-    reference.Pim.Timed_simulator.Reference.total_cycles
+    reference.Pim_oracle.Timed_reference.total_cycles
       = live.Pim.Timed_simulator.total_cycles
-    && reference.Pim.Timed_simulator.Reference.total_volume_hops
+    && reference.Pim_oracle.Timed_reference.total_volume_hops
        = live.Pim.Timed_simulator.total_volume_hops
-    && List.length reference.Pim.Timed_simulator.Reference.rounds
+    && List.length reference.Pim_oracle.Timed_reference.rounds
        = List.length live.Pim.Timed_simulator.rounds
     && List.for_all2
-         (fun (a : Pim.Timed_simulator.Reference.round_report)
+         (fun (a : Pim_oracle.Timed_reference.round_report)
               (b : Pim.Timed_simulator.round_report) ->
-           a.Pim.Timed_simulator.Reference.cycles
+           a.Pim_oracle.Timed_reference.cycles
              = b.Pim.Timed_simulator.cycles
-           && a.Pim.Timed_simulator.Reference.messages
+           && a.Pim_oracle.Timed_reference.messages
               = b.Pim.Timed_simulator.messages
-           && a.Pim.Timed_simulator.Reference.volume_hops
+           && a.Pim_oracle.Timed_reference.volume_hops
               = b.Pim.Timed_simulator.volume_hops
-           && Float.equal a.Pim.Timed_simulator.Reference.utilization
+           && Float.equal a.Pim_oracle.Timed_reference.utilization
                 b.Pim.Timed_simulator.utilization)
-         reference.Pim.Timed_simulator.Reference.rounds
+         reference.Pim_oracle.Timed_reference.rounds
          live.Pim.Timed_simulator.rounds
   in
   if not identical then begin
@@ -1417,7 +1408,7 @@ let timed_bench () =
       "FAIL: degenerate timed engine diverges from the pinned Reference \
        report on LU 16x16 (%d vs %d cycles)\n"
       live.Pim.Timed_simulator.total_cycles
-      reference.Pim.Timed_simulator.Reference.total_cycles;
+      reference.Pim_oracle.Timed_reference.total_cycles;
     exit 1
   end;
   let wall run =
@@ -1431,7 +1422,7 @@ let timed_bench () =
     !best
   in
   let measure_ref () =
-    wall (fun () -> ignore (Pim.Timed_simulator.Reference.run kmesh rounds))
+    wall (fun () -> ignore (Pim_oracle.Timed_reference.run kmesh rounds))
   in
   let measure_live () =
     wall (fun () -> ignore (Pim.Timed_simulator.run kmesh rounds))
@@ -1631,7 +1622,6 @@ let json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed
                     ("workload", Obs.Json.String wl);
                     ( "scheduler",
                       Obs.Json.String (Sched.Scheduler.name algo) );
-                    ("kernel", Obs.Json.String "separable");
                     ("jobs", Obs.Json.Int jobs);
                     ("wall_ms", Obs.Json.Float (wall *. 1e3));
                     ("speedup_vs_jobs1", Obs.Json.Float (wall1 /. wall));

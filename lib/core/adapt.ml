@@ -10,15 +10,25 @@ let validate_initial mesh ~n_data initial =
           (Printf.sprintf "Adapt: datum %d starts at invalid rank %d" d rank))
     initial
 
-(* The GOMCDS problem with the entry cost augmented by the migration from
-   the imposed location into the window-0 center. *)
-let problem_from mesh trace ~data ~start =
-  let p = Gomcds.cost_problem mesh trace ~data in
-  {
-    p with
-    Pathgraph.Layered.enter_cost =
-      (fun j -> Pim.Mesh.distance mesh start j + p.Pathgraph.Layered.enter_cost j);
-  }
+(* The datum's GOMCDS layers with layer 0 re-pointed at one extra row:
+   the window-0 reference costs plus the migration from the imposed
+   location [start] into each candidate center. The session's slab is
+   copied, not written, so its cached rows stay valid. *)
+let layers_from problem ~data ~start =
+  let slab, offsets = Problem.layer_slab problem ~data in
+  let size = Pim.Mesh.size (Problem.mesh problem) in
+  let dim = Bigarray.Array1.dim slab in
+  let vectors =
+    Bigarray.Array1.create Bigarray.Int Bigarray.C_layout (dim + size)
+  in
+  Bigarray.Array1.blit slab (Bigarray.Array1.sub vectors 0 dim);
+  let enter = offsets.(0) in
+  for j = 0 to size - 1 do
+    vectors.{dim + j} <- slab.{enter + j} + Problem.distance problem start j
+  done;
+  let offsets = Array.copy offsets in
+  offsets.(0) <- dim;
+  (vectors, offsets)
 
 let run ?capacity ~initial mesh trace =
   let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
@@ -37,15 +47,21 @@ let run ?capacity ~initial mesh trace =
         Some
           (Array.init n_windows (fun _ -> Pim.Memory.create mesh ~capacity:c))
   in
+  let problem = Problem.create mesh trace in
   List.iter
     (fun data ->
-      let p = problem_from mesh trace ~data ~start:initial.(data) in
+      let vectors, offsets =
+        layers_from problem ~data ~start:initial.(data)
+      in
       let centers =
         match memories with
-        | None -> snd (Pathgraph.Layered.solve p)
+        | None ->
+            snd (Option.get (Problem.solve_layers problem ~vectors ~offsets))
         | Some mems ->
             let allowed ~layer j = not (Pim.Memory.is_full mems.(layer) j) in
-            let result = Pathgraph.Layered.solve_filtered p ~allowed in
+            let result =
+              Problem.solve_layers problem ~allowed ~vectors ~offsets
+            in
             let _, centers = Option.get result in
             Array.iteri
               (fun layer rank ->

@@ -9,9 +9,9 @@ let argmin v =
   !best
 
 (* The greedy is generic in how a group's running cost state is represented:
-   full cost vectors (the [`Naive] kernel's currency) or per-axis marginal
-   pairs (the separable kernel's — summing two O(cols + rows) histograms
-   prices a candidate merge without materializing the merged window's
+   full cost vectors (the degraded context's currency) or per-axis marginal
+   pairs (the healthy one's — summing two O(cols + rows) histograms prices
+   a candidate merge without materializing the merged window's
    O(cols · rows) vector). [best] must return the {e lowest-rank} minimum
    center so both representations make identical greedy decisions. *)
 type 'vec ops = {
@@ -20,22 +20,13 @@ type 'vec ops = {
   best : 'vec -> int * int;  (* (lowest-rank argmin center, its cost) *)
 }
 
-let vector_ops =
-  {
-    copy = Array.copy;
-    join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
-    best =
-      (fun v ->
-        let c = argmin v in
-        (c, v.(c)));
-  }
-
 (* Vector ops whose [best] skips dead ranks (ties still break to the
    lowest alive rank) — the degraded-context currency: arena vectors are
    already fault-priced, only center choice needs the mask. *)
 let masked_vector_ops alive =
   {
-    vector_ops with
+    copy = Array.copy;
+    join = (fun a b -> Array.init (Array.length a) (fun i -> a.(i) + b.(i)));
     best =
       (fun v ->
         let best = ref (-1) in
@@ -47,7 +38,7 @@ let masked_vector_ops alive =
 
 (* The minimizers of cx(x) + cy(y) form a product set, so the lowest
    row-major rank among them is (lowest argmin cy, lowest argmin cx) —
-   the same tie order as [vector_ops.best]'s ascending scan. *)
+   the same tie order as an ascending full-vector scan. *)
 let marginal_ops ~wrap ~cols =
   let sum a b = Array.init (Array.length a) (fun i -> a.(i) + b.(i)) in
   {
@@ -167,8 +158,8 @@ let referenced_vectors problem ~data =
   in
   (indices, vectors)
 
-(* Referenced-window subsequence as (cached) marginal pairs — the separable
-   kernel's pricing inputs. *)
+(* Referenced-window subsequence as (cached) marginal pairs — the healthy
+   path's pricing inputs. *)
 let referenced_marginals problem ~data =
   let indices = ref [] in
   for w = Problem.n_windows problem - 1 downto 0 do
@@ -191,9 +182,8 @@ let groups problem ~data ~centers =
   let dist = Problem.distance problem in
   if not (Pim.Fault.is_none (Problem.fault problem)) then begin
     (* Degraded context: always run the vector path — the arena vectors
-       carry the fault-aware prices under either kernel (marginal pricing
-       would ignore dead links), and the masked ops keep centers off dead
-       ranks. *)
+       carry the fault-aware prices (marginal pricing would ignore dead
+       links), and the masked ops keep centers off dead ranks. *)
     let alive = Problem.rank_alive problem in
     let indices, vectors = referenced_vectors problem ~data in
     match Array.length vectors with
@@ -208,44 +198,28 @@ let groups problem ~data ~centers =
         in
         to_groups indices ranges
   end
-  else
-  match Problem.kernel problem with
-  | `Naive -> (
-      let indices, vectors = referenced_vectors problem ~data in
-      match Array.length vectors with
-      | 0 -> []
-      | n ->
-          let ranges =
-            greedy_ranges ~ops:vector_ops ~dist ~items:vectors ~n
-          in
-          let ranges =
-            match centers with
-            | `Local -> ranges
-            | `Global -> refine_centers problem ~to_vector:Fun.id ranges
-          in
-          to_groups indices ranges)
-  | `Separable -> (
-      let mesh = Problem.mesh problem in
-      let wrap = Pim.Mesh.wraps mesh
-      and cols = Pim.Mesh.cols mesh
-      and rows = Pim.Mesh.rows mesh in
-      let indices, margs = referenced_marginals problem ~data in
-      match Array.length margs with
-      | 0 -> []
-      | n ->
-          let ranges =
-            greedy_ranges ~ops:(marginal_ops ~wrap ~cols) ~dist ~items:margs
-              ~n
-          in
-          let ranges =
-            match centers with
-            | `Local -> ranges
-            | `Global ->
-                refine_centers problem
-                  ~to_vector:(Cost.vector_of_marginals ~wrap ~cols ~rows)
-                  ranges
-          in
-          to_groups indices ranges)
+  else begin
+    let mesh = Problem.mesh problem in
+    let wrap = Pim.Mesh.wraps mesh
+    and cols = Pim.Mesh.cols mesh
+    and rows = Pim.Mesh.rows mesh in
+    let indices, margs = referenced_marginals problem ~data in
+    match Array.length margs with
+    | 0 -> []
+    | n ->
+        let ranges =
+          greedy_ranges ~ops:(marginal_ops ~wrap ~cols) ~dist ~items:margs ~n
+        in
+        let ranges =
+          match centers with
+          | `Local -> ranges
+          | `Global ->
+              refine_centers problem
+                ~to_vector:(Cost.vector_of_marginals ~wrap ~cols ~rows)
+                ranges
+        in
+        to_groups indices ranges
+  end
 
 (* Exact DP over all (partition, centers) choices for one datum.
    dp.(i).(c) = cheapest cost of covering referenced windows 0..i with the
@@ -363,14 +337,12 @@ let desired_trajectory ~n_windows groups =
 let run_with_partitions problem ~partition_of =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
-  (* The vector-pricing paths (degraded context, [`Naive] kernel) read
-     whole arena rows per datum; fill them window-major on the pool up
-     front so the per-datum partition tasks below only read. The healthy
-     separable path prices from marginals alone and never fills a row. *)
-  if
-    (not (Pim.Fault.is_none (Problem.fault problem)))
-    || Problem.kernel problem = `Naive
-  then Problem.prefetch_all problem;
+  (* The vector-pricing path (degraded context) reads whole arena rows per
+     datum; fill them window-major on the pool up front so the per-datum
+     partition tasks below only read. The healthy path prices from
+     marginals alone and never fills a row. *)
+  if not (Pim.Fault.is_none (Problem.fault problem)) then
+    Problem.prefetch_all problem;
   (* parallel phase: each datum's partition (and the cost vectors it pulls
      in) is independent of every other datum's *)
   let desired =
@@ -436,7 +408,7 @@ let schedule ?(centers = `Local) problem =
       groups problem ~data ~centers)
 
 let optimal_schedule problem =
-  (* the exact DP prices from full cost vectors under every kernel *)
+  (* the exact DP prices from full cost vectors *)
   Problem.prefetch_all problem;
   run_with_partitions problem ~partition_of:(fun ~data ->
       optimal_groups problem ~data)

@@ -1,5 +1,4 @@
 type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
-type kernel = Context.kernel
 
 (* Cost charged for serving across a disconnected rank pair (link faults
    can split the mesh). Large enough that any connected alternative wins,
@@ -23,7 +22,7 @@ type t = {
   (* Fault-aware full distance table, present iff the fault kills links
      (node faults keep routers, so distances only change under link
      faults). Built eagerly per session via the BFS oracle; disconnected
-     pairs hold [unreachable_cost]. Its presence is the kernel-downgrade
+     pairs hold [unreachable_cost]. Its presence is the downgrade
      trigger: arena rows fill from this table instead of the separable
      marginals. *)
   fault_dist : int array array option;
@@ -34,8 +33,8 @@ type t = {
   (* Cost arena: one flat compact buffer per datum. Slot 0 (the first
      [size] entries) is a reserved all-zero row; every window that
      references the datum gets its own slot, assigned in window order, and
-     every window that does not points at slot 0 — both kernels produce
-     the all-zero vector for such a row, so it is never written and is
+     every window that does not points at slot 0 — such a row's vector is
+     all zeros, so it is never written and is
      shared rather than materialized per window. The slab is a bigarray
      so it can be allocated uninitialized: only the zero row is filled at
      creation, and each referencing slot is written in full on its first
@@ -134,20 +133,20 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     cancel = Cancel.none;
   }
 
-let create ?(policy = Unbounded) ?(jobs = 1) ?(kernel = `Separable)
-    ?(fault = Pim.Fault.none) mesh trace =
+let create ?(policy = Unbounded) ?(jobs = 1) ?(fault = Pim.Fault.none) mesh
+    trace =
   (match policy with
   | Bounded c when c < 0 ->
       invalid_arg "Problem.create: negative capacity"
   | Bounded _ | Unbounded -> ());
   if jobs < 1 then invalid_arg "Problem.create: jobs must be >= 1";
-  of_context ~fault (Context.create ~policy ~jobs ~kernel mesh trace)
+  of_context ~fault (Context.create ~policy ~jobs mesh trace)
 
-let of_capacity ?capacity ?jobs ?kernel mesh trace =
+let of_capacity ?capacity ?jobs mesh trace =
   let policy =
     match capacity with None -> Unbounded | Some c -> Bounded c
   in
-  create ~policy ?jobs ?kernel mesh trace
+  create ~policy ?jobs mesh trace
 
 let context t = t.ctx
 let mesh t = t.ctx.Context.mesh
@@ -155,7 +154,6 @@ let trace t = t.ctx.Context.trace
 let policy t = t.policy
 let capacity t = match t.policy with Unbounded -> None | Bounded c -> Some c
 let jobs t = t.jobs
-let kernel t = t.ctx.Context.kernel
 let fault t = t.fault
 let rank_alive t rank = t.alive.(rank)
 let alive_count t = t.n_alive
@@ -171,13 +169,6 @@ let with_policy t policy =
       invalid_arg "Problem.with_policy: negative capacity"
   | Bounded _ | Unbounded -> ());
   { t with policy }
-
-let with_kernel t kernel =
-  if kernel = t.ctx.Context.kernel then t
-  else
-    of_context ~policy:t.policy ~jobs:t.jobs ~fault:t.fault
-      (Context.create ~policy:t.policy ~jobs:t.jobs ~kernel
-         t.ctx.Context.mesh t.ctx.Context.trace)
 
 let with_fault t fault =
   if Pim.Fault.is_none fault && Pim.Fault.is_none t.fault then t
@@ -269,10 +260,15 @@ let ensure_arena t ~data =
         Obs.Metrics.add "problem.arena_bytes" (8 * len);
       a
 
-(* Same integers as [Cost.Naive.cost_vector], with distances read off a
-   full table and the profile walked once per center; [set] targets either
-   an arena slab or a plain array. *)
-let table_entries t dist w ~data ~set =
+(* Link faults break separability, so rows downgrade to the BFS distance
+   table, the profile walked once per center — the Obs counter records
+   every row built this way. [set] targets either an arena slab or a plain
+   array. *)
+let fault_entries t w ~data ~set =
+  hit "cost.fault_downgrades";
+  let dist =
+    match t.fault_dist with Some d -> d | None -> assert false
+  in
   let profile = Reftrace.Window.profile w data in
   for center = 0 to t.ctx.Context.size - 1 do
     let row = dist.(center) in
@@ -281,24 +277,6 @@ let table_entries t dist w ~data ~set =
          (fun acc (proc, count) -> acc + (count * row.(proc)))
          0 profile)
   done
-
-(* Only reachable under [`Naive], whose context materialized the table at
-   creation. *)
-let naive_entries t w ~data ~set =
-  hit "cost.naive_builds";
-  let dist =
-    match t.ctx.Context.naive_dist with Some d -> d | None -> assert false
-  in
-  table_entries t dist w ~data ~set
-
-(* Link faults break separability, so both kernels downgrade to the BFS
-   distance table — the Obs counter records every row built this way. *)
-let fault_entries t w ~data ~set =
-  hit "cost.fault_downgrades";
-  let dist =
-    match t.fault_dist with Some d -> d | None -> assert false
-  in
-  table_entries t dist w ~data ~set
 
 let fill_separable t ~window ~data ~dst ~off =
   hit "cost.separable_builds";
@@ -344,19 +322,14 @@ let fill_row t ~window ~data =
       if st = '\003' then hit "problem.rows_refilled";
       if t.shared.(data) then privatize t ~data);
   let a = ensure_arena t ~data in
-  (* zero-reference rows resolve to the shared zero slot — both kernels
-     produce the all-zero vector for them, so no build is charged *)
+  (* zero-reference rows resolve to the shared zero slot — their vector
+     is all zeros, so no build is charged *)
   let off = t.row_off.(data).(window) in
   if off > 0 then begin
     if t.fault_dist <> None then
       fault_entries t t.ctx.Context.windows.(window) ~data ~set:(fun center v ->
           a.{off + center} <- v)
-    else
-      match t.ctx.Context.kernel with
-      | `Separable -> fill_separable t ~window ~data ~dst:a ~off
-      | `Naive ->
-          naive_entries t t.ctx.Context.windows.(window) ~data
-            ~set:(fun center v -> a.{off + center} <- v)
+    else fill_separable t ~window ~data ~dst:a ~off
   end;
   Bytes.set t.filled.(data) window '\001';
   a
@@ -408,15 +381,7 @@ let merged_vector t ~data =
               v.(center) <- c);
           v
         end
-        else
-          match t.ctx.Context.kernel with
-          | `Separable ->
-              vector_from_marginals t (merged_marginals t ~data)
-          | `Naive ->
-              let v = Array.make size 0 in
-              naive_entries t t.ctx.Context.merged ~data ~set:(fun center c ->
-                  v.(center) <- c);
-              v
+        else vector_from_marginals t (merged_marginals t ~data)
       in
       t.merged_vectors.(data) <- Some v;
       v
@@ -434,11 +399,11 @@ let masked_argmin t get =
 let faulty t = not (Pim.Fault.is_none t.fault)
 
 (* Vector-free fast path (Definition 4): per-axis argmin straight from the
-   marginals under [`Separable]; ascending arena-row scan under [`Naive].
-   Both orders agree with the full-vector ascending argmin, so unbounded
-   schedulers can take this without changing a single placement. Any fault
-   forces the masked arena scan instead: dead ranks cannot host a center,
-   and under link faults the marginals no longer price the row at all. *)
+   marginals, in the same tie order as the full-vector ascending argmin, so
+   unbounded schedulers can take this without changing a single placement.
+   Any fault forces the masked arena scan instead: dead ranks cannot host a
+   center, and under link faults the marginals no longer price the row at
+   all. *)
 let optimal_center t ~window ~data =
   let cached = t.opts.(data).(window) in
   if cached >= 0 then cached
@@ -450,24 +415,15 @@ let optimal_center t ~window ~data =
         let a, off = arena_row t ~window ~data in
         masked_argmin t (fun i -> a.{off + i})
       end
-      else
-        match t.ctx.Context.kernel with
-        | `Separable ->
-            hit "cost.argmin_fast";
-            fst
-              (Cost.argmin_of_marginals
-                 ~wrap:(Pim.Mesh.wraps mesh)
-                 ~cols:(Pim.Mesh.cols mesh)
-                 ~rows:(Pim.Mesh.rows mesh)
-                 (marginals t ~window ~data))
-        | `Naive ->
-            hit "cost.argmin_fallback";
-            let a, off = arena_row t ~window ~data in
-            let best = ref 0 in
-            for i = 1 to t.ctx.Context.size - 1 do
-              if a.{off + i} < a.{off + !best} then best := i
-            done;
-            !best
+      else begin
+        hit "cost.argmin_fast";
+        fst
+          (Cost.argmin_of_marginals
+             ~wrap:(Pim.Mesh.wraps mesh)
+             ~cols:(Pim.Mesh.cols mesh)
+             ~rows:(Pim.Mesh.rows mesh)
+             (marginals t ~window ~data))
+      end
     in
     t.opts.(data).(window) <- c;
     c
@@ -483,24 +439,15 @@ let merged_optimal_center t ~data =
         let v = merged_vector t ~data in
         masked_argmin t (fun i -> v.(i))
       end
-      else
-        match t.ctx.Context.kernel with
-        | `Separable ->
-            hit "cost.argmin_fast";
-            fst
-              (Cost.argmin_of_marginals
-                 ~wrap:(Pim.Mesh.wraps mesh)
-                 ~cols:(Pim.Mesh.cols mesh)
-                 ~rows:(Pim.Mesh.rows mesh)
-                 (merged_marginals t ~data))
-        | `Naive ->
-            hit "cost.argmin_fallback";
-            let v = merged_vector t ~data in
-            let best = ref 0 in
-            for i = 1 to t.ctx.Context.size - 1 do
-              if v.(i) < v.(!best) then best := i
-            done;
-            !best
+      else begin
+        hit "cost.argmin_fast";
+        fst
+          (Cost.argmin_of_marginals
+             ~wrap:(Pim.Mesh.wraps mesh)
+             ~cols:(Pim.Mesh.cols mesh)
+             ~rows:(Pim.Mesh.rows mesh)
+             (merged_marginals t ~data))
+      end
     in
     t.merged_opts.(data) <- c;
     c
@@ -523,38 +470,31 @@ let candidates t ~window ~data =
       poll t;
       let size = t.ctx.Context.size in
       let l =
-        if Bytes.get t.filled.(data) window = '\001' then begin
-          (* row already materialized: sort straight off the slab *)
+        if Bytes.get t.filled.(data) window = '\001' || t.fault_dist <> None
+        then begin
+          (* row already materialized, or priced by the fault table: sort
+             straight off the slab *)
           let a, off = arena_row t ~window ~data in
           alive_only t
             (Processor_list.of_costs ~n:size (fun i -> a.{off + i}))
         end
-        else if t.fault_dist = None && t.ctx.Context.kernel = `Separable
-        then
-          (* fill-skip: the candidate order is a pure function of the axis
-             costs, so bounded schedulers that only consume lists
-             ([Scds]/[Lomcds]) never force a slab row. Same values, hence
-             the same (cost, rank) order, as the materialized row. *)
-          if
-            Reftrace.Window.references t.ctx.Context.windows.(window) data
-            = 0
-          then alive_only t (Processor_list.of_costs ~n:size (fun _ -> 0))
-          else begin
-            hit "cost.separable_builds";
-            let mesh = t.ctx.Context.mesh in
-            let wrap = Pim.Mesh.wraps mesh in
-            let cols = Pim.Mesh.cols mesh in
-            let mx, my = marginals t ~window ~data in
-            let cx = Cost.axis_cost ~wrap mx
-            and cy = Cost.axis_cost ~wrap my in
-            alive_only t
-              (Processor_list.of_costs ~n:size (fun i ->
-                   cx.(i mod cols) + cy.(i / cols)))
-          end
+        (* fill-skip: the candidate order is a pure function of the axis
+           costs, so bounded schedulers that only consume lists
+           ([Scds]/[Lomcds]) never force a slab row. Same values, hence the
+           same (cost, rank) order, as the materialized row. *)
+        else if
+          Reftrace.Window.references t.ctx.Context.windows.(window) data = 0
+        then alive_only t (Processor_list.of_costs ~n:size (fun _ -> 0))
         else begin
-          let a, off = arena_row t ~window ~data in
+          hit "cost.separable_builds";
+          let mesh = t.ctx.Context.mesh in
+          let wrap = Pim.Mesh.wraps mesh in
+          let cols = Pim.Mesh.cols mesh in
+          let mx, my = marginals t ~window ~data in
+          let cx = Cost.axis_cost ~wrap mx and cy = Cost.axis_cost ~wrap my in
           alive_only t
-            (Processor_list.of_costs ~n:size (fun i -> a.{off + i}))
+            (Processor_list.of_costs ~n:size (fun i ->
+                 cx.(i mod cols) + cy.(i / cols)))
         end
       in
       t.cands.(data).(window) <- Some l;
@@ -674,14 +614,7 @@ let fill_window_rows t ~window =
           ~set:(fun center v -> a.{off + center} <- v);
         Bytes.set t.filled.(data) window '\001'
       end
-      else
-        match t.ctx.Context.kernel with
-        | `Naive ->
-            naive_entries t t.ctx.Context.windows.(window) ~data
-              ~set:(fun center v -> a.{off + center} <- v);
-            Bytes.set t.filled.(data) window '\001'
-        | `Separable ->
-            batch := (data, (marginals t ~window ~data, (a, off))) :: !batch
+      else batch := (data, (marginals t ~window ~data, (a, off))) :: !batch
     end
   done;
   match !batch with

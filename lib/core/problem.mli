@@ -7,8 +7,7 @@
 
     - per-axis mesh distance tables ({!Pim.Mesh.x_distance_table}), so
       distance probes are two array reads; no O(size²) rank-to-rank matrix
-      exists in the context (the [`Naive] kernel keeps a private one for
-      its oracle-role vector builds only);
+      exists in the context;
     - a flat compact {e cost arena} per datum: one bigarray slab holding a
       row per referencing window plus one shared all-zero row that every
       non-referencing window points at, filled lazily per (datum, window)
@@ -44,14 +43,6 @@
     {!Pim.Memory.capacity_for}). Equal to {!Context.capacity_policy}. *)
 type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
 
-(** Which cost-kernel fills the arena. [`Separable] (the default) builds
-    each vector row in O(P + refs) from axis marginals via prefix sums
-    ({!Cost}); [`Naive] is the direct O(P · refs) table walk
-    ({!Cost.Naive}), kept as the cross-check oracle and benchmark
-    baseline. Both produce byte-identical entries. Equal to
-    {!Context.kernel}. *)
-type kernel = Context.kernel
-
 type t
 
 (** Cost entry recorded for a (center, referencing rank) pair that link
@@ -59,14 +50,14 @@ type t
     wins, small enough that profile-weighted sums never overflow. *)
 val unreachable_cost : int
 
-(** [create ?policy ?jobs ?kernel ?fault mesh trace] builds the context.
+(** [create ?policy ?jobs ?fault mesh trace] builds the context.
     [policy] defaults to [Unbounded]; [jobs] (default [1]) sizes the domain
-    pool, and {!Engine.default_jobs} picks a machine-fitted value; [kernel]
-    defaults to [`Separable]; [fault] (default {!Pim.Fault.none}) degrades
+    pool, and {!Engine.default_jobs} picks a machine-fitted value; [fault]
+    (default {!Pim.Fault.none}) degrades
     the array — dead processors leave every candidate list, memory tracker
     and argmin (their routers stay alive, so distances are unchanged), and
     dead links rebuild all distances by BFS over the surviving topology,
-    which downgrades the cost kernel off the separable fast path (counters
+    which downgrades arena rows off the separable fast path (counters
     [cost.fault_tables] / [cost.fault_downgrades]). With [Fault.none] every
     code path is byte-identical to a fault-oblivious context.
     @raise Invalid_argument if [Bounded c] with [c < 0], [jobs < 1], the
@@ -74,19 +65,17 @@ val unreachable_cost : int
 val create :
   ?policy:capacity_policy ->
   ?jobs:int ->
-  ?kernel:kernel ->
   ?fault:Pim.Fault.t ->
   Pim.Mesh.t ->
   Reftrace.Trace.t ->
   t
 
-(** [of_capacity ?capacity ?jobs ?kernel mesh trace] is the bridge from the
+(** [of_capacity ?capacity ?jobs mesh trace] is the bridge from the
     old optional-argument convention: [None] ↦ [Unbounded], [Some c] ↦
     [Bounded c]. Deprecated shims go through this. *)
 val of_capacity :
   ?capacity:int ->
   ?jobs:int ->
-  ?kernel:kernel ->
   Pim.Mesh.t ->
   Reftrace.Trace.t ->
   t
@@ -119,7 +108,6 @@ val policy : t -> capacity_policy
 val capacity : t -> int option
 
 val jobs : t -> int
-val kernel : t -> kernel
 
 (** [fault t] is the fault model the context was built over
     ({!Pim.Fault.none} for a healthy array). *)
@@ -157,13 +145,6 @@ val alive_count : t -> int
 val with_jobs : t -> int -> t
 
 val with_policy : t -> capacity_policy -> t
-
-(** [with_kernel t kernel] is [t] itself when the kernel is unchanged, and
-    otherwise a {e fresh} context (empty caches) over the same mesh, trace,
-    policy and jobs — the kernels produce identical vectors, but sharing
-    filled caches across kernels would defeat the point of switching
-    (benchmarking, cross-checking). *)
-val with_kernel : t -> kernel -> t
 
 (** [with_fault t fault] is a {e fresh session} (empty caches) with the
     fault replaced — cost entries, candidate orders and distances all
@@ -235,7 +216,7 @@ val distance : t -> int -> int -> int
 val shape : t -> Pathgraph.Layered.shape
 
 (** [marginals t ~window ~data] is {!Reftrace.Window.marginals} for the
-    pair, cached — the separable kernel's input, also summed directly by
+    pair, cached — the separable fill's input, also summed directly by
     {!Grouping} to price candidate merges without materializing merged
     windows. The returned arrays are shared: treat them as read-only. *)
 val marginals : t -> window:int -> data:int -> int array * int array
@@ -260,13 +241,11 @@ val merged_vector : t -> data:int -> int array
 
 (** [optimal_center t ~window ~data] is the paper's Definition 4 for the
     pair — the minimum-cost center, lowest rank on ties — cached, and
-    computed {e without} touching the cost vector under [`Separable]:
+    computed {e without} touching the cost vector on a healthy array:
     {!Cost.argmin_of_marginals} reads the two axis marginals in
-    O(cols + rows) (counter [cost.argmin_fast]). Under [`Naive] it falls
-    back to an ascending scan of the arena row (counter
-    [cost.argmin_fallback]); both orders equal the full-vector ascending
-    argmin, so unbounded schedulers taking this fast path place every
-    datum exactly where the vector route did. *)
+    O(cols + rows) (counter [cost.argmin_fast]). Its tie order equals the
+    full-vector ascending argmin, so unbounded schedulers taking this fast
+    path place every datum exactly where the vector route did. *)
 val optimal_center : t -> window:int -> data:int -> int
 
 (** [merged_optimal_center t ~data] is {!optimal_center} against

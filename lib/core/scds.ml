@@ -5,8 +5,8 @@ let placement problem =
       (* Vector-free fast path: with unbounded memories [assign] always
          takes the head of the processor list, which is exactly the
          lowest-rank cost argmin — so each datum's center is
-         [merged_optimal_center] (O(cols + rows) from marginals under the
-         separable kernel), no vector or candidate list needed. Per-datum
+         [merged_optimal_center] (O(cols + rows) from marginals on a
+         healthy array), no vector or candidate list needed. Per-datum
          and order-free, so it fans out across the pool. *)
       Engine.map ~jobs:(Problem.jobs problem) (Problem.n_data problem)
         (fun data -> Problem.merged_optimal_center problem ~data)

@@ -1,12 +1,5 @@
 type buffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type problem = {
-  n_layers : int;
-  width : int;
-  enter_cost : int -> int;
-  step_cost : layer:int -> int -> int -> int;
-}
-
 type shape = { cols : int; rows : int; wrap : bool }
 
 type group_member = {
@@ -20,8 +13,8 @@ let inf = max_int
 (* DP work counters, reported once per solve (see DESIGN.md
    "Observability"): a node is expanded when it is a finite-cost source
    of a layer step, and an edge is one relaxation the solver actually
-   performs — one (source, target) pair for the table and callback
-   forms, one unit step of a sweep for the separable core. Totals are
+   performs — one (source, target) pair for the table form, one unit
+   step of a sweep for the separable core. Totals are
    per-datum and therefore independent of how solves are fanned out
    across domains. *)
 let report_solve ~nodes ~edges =
@@ -54,50 +47,6 @@ let backtrack ~cur ~choice ~n_layers =
     done;
     Some (cur.(!best), centers)
   end
-
-(* Forward DP over layers. [dist.(j)] is the best cost of reaching node [j]
-   of the current layer; [choice.(layer).(j)] records the predecessor. *)
-let solve_general p ~allowed =
-  if p.n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  if p.width <= 0 then invalid_arg "Layered: width must be positive";
-  Obs.Span.with_ ~name:"layered.solve" @@ fun () ->
-  let dist = Array.make p.width inf in
-  let choice = Array.make_matrix p.n_layers p.width (-1) in
-  for j = 0 to p.width - 1 do
-    if allowed ~layer:0 j then dist.(j) <- p.enter_cost j
-  done;
-  let nodes = ref 0 and edges = ref 0 in
-  for layer = 1 to p.n_layers - 1 do
-    let finite = count_finite dist ~lo:0 ~hi:p.width in
-    let next = Array.make p.width inf in
-    let allowed_k = ref 0 in
-    for k = 0 to p.width - 1 do
-      if allowed ~layer k then begin
-        incr allowed_k;
-        for j = 0 to p.width - 1 do
-          if dist.(j) <> inf then begin
-            let c = dist.(j) + p.step_cost ~layer j k in
-            if c < next.(k) then begin
-              next.(k) <- c;
-              choice.(layer).(k) <- j
-            end
-          end
-        done
-      end
-    done;
-    nodes := !nodes + finite;
-    edges := !edges + (finite * !allowed_k);
-    Array.blit next 0 dist 0 p.width
-  done;
-  report_solve ~nodes:!nodes ~edges:!edges;
-  backtrack ~cur:dist ~choice ~n_layers:p.n_layers
-
-let solve p =
-  match solve_general p ~allowed:(fun ~layer:_ _ -> true) with
-  | Some r -> r
-  | None -> assert false (* unrestricted problem is always feasible *)
-
-let solve_filtered p ~allowed = solve_general p ~allowed
 
 (* Row offsets of the layers in a flat vector buffer, checked: [offsets]
    as given (repeats allowed — a compact arena points every zero layer at
@@ -430,29 +379,3 @@ let solve_group ~members ~move_cost ~consts ~n_layers ~allowed () =
   done;
   report_solve ~nodes:!nodes ~edges:!edges;
   backtrack ~cur ~choice ~n_layers
-
-let to_digraph p =
-  if p.n_layers <= 0 then invalid_arg "Layered: n_layers must be positive";
-  if p.width <= 0 then invalid_arg "Layered: width must be positive";
-  let node_id ~layer j = 2 + (layer * p.width) + j in
-  let source = 0 and sink = 1 in
-  let g = Digraph.create ~n_nodes:(2 + (p.n_layers * p.width)) in
-  for j = 0 to p.width - 1 do
-    Digraph.add_edge g ~src:source ~dst:(node_id ~layer:0 j)
-      ~weight:(p.enter_cost j)
-  done;
-  for layer = 1 to p.n_layers - 1 do
-    for j = 0 to p.width - 1 do
-      for k = 0 to p.width - 1 do
-        Digraph.add_edge g
-          ~src:(node_id ~layer:(layer - 1) j)
-          ~dst:(node_id ~layer k)
-          ~weight:(p.step_cost ~layer j k)
-      done
-    done
-  done;
-  for j = 0 to p.width - 1 do
-    Digraph.add_edge g ~src:(node_id ~layer:(p.n_layers - 1) j) ~dst:sink
-      ~weight:0
-  done;
-  (g, source, sink, node_id)

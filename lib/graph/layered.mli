@@ -16,38 +16,15 @@
     - {!solve_table} is the fallback for distances that are not separable
       (link-fault BFS tables): O(width²) per layer, straight table reads.
     - {!solve_group} runs the core per member of a multi-array group.
-    - {!solve}/{!solve_filtered} take edge weights as callbacks —
-      O(n_layers·width²) closure calls — for the generic problems
-      (the adaptation DP) and for cross-checks against {!Shortest_path} via
-      {!to_digraph}. *)
 
-(** Flat layer-vector buffer for the table-reading solvers: a 1-D [int]
+    The dense and callback-form reference solvers these are pinned to
+    live in the test-only oracle library. *)
+
+(** Flat layer-vector buffer for the solvers: a 1-D [int]
     bigarray, so arena slabs can be allocated {e uninitialized} (only
     rows actually written cost memory traffic — an [int array] would
     zero-fill every row on allocation). *)
 type buffer = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type problem = {
-  n_layers : int;  (** number of layers (execution windows) *)
-  width : int;  (** nodes per layer (processors) *)
-  enter_cost : int -> int;
-      (** [enter_cost j] — weight of the source → (layer 0, node j) edge *)
-  step_cost : layer:int -> int -> int -> int;
-      (** [step_cost ~layer j k] — weight of (layer, node j) →
-          (layer+1, node k); [layer] is the {e destination} layer index,
-          [1 <= layer <= n_layers - 1] *)
-}
-
-(** [solve p] returns the minimal source→sink cost and one witness: the node
-    chosen in each layer, length [n_layers].
-    @raise Invalid_argument if [n_layers <= 0] or [width <= 0]. *)
-val solve : problem -> int * int array
-
-(** [solve_filtered p ~allowed] restricts layer [i] to nodes [j] with
-    [allowed ~layer:i j = true] (used for memory-capacity exclusion).
-    Returns [None] when no feasible path exists. *)
-val solve_filtered :
-  problem -> allowed:(layer:int -> int -> bool) -> (int * int array) option
 
 (** The shape of a row-major [rows]×[cols] processor array: node
     [j = y·cols + x], step distance [dx + dy] with each axis distance
@@ -142,11 +119,3 @@ val solve_group :
   allowed:(layer:int -> int -> bool) ->
   unit ->
   (int * int array) option
-
-(** [to_digraph p] materializes the cost-graph exactly as the paper describes
-    (pseudo source node, pseudo destination node, zero-weight edges into the
-    sink) and returns [(graph, source, sink, node_id)] where
-    [node_id ~layer j] is the graph node for processor [j] in window
-    [layer]. *)
-val to_digraph :
-  problem -> Digraph.t * int * int * (layer:int -> int -> int)

@@ -119,7 +119,6 @@ let solve_member gp algo plan m ids =
     Sched.Problem.create
       ~policy:(Group_problem.policy gp)
       ~jobs:(Group_problem.jobs gp)
-      ~kernel:(Group_problem.kernel gp)
       ~fault:(Sched.Problem.fault sub)
       (Array_group.member (Group_problem.group gp) m)
       subset_trace

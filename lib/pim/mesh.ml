@@ -62,17 +62,6 @@ let distance m a b =
   axis_distance ~wrap:m.wrap ~extent:m.cols ca.Coord.x cb.Coord.x
   + axis_distance ~wrap:m.wrap ~extent:m.rows ca.Coord.y cb.Coord.y
 
-let distance_table m =
-  let n = size m in
-  (* coordinates decoded once per rank instead of once per pair *)
-  let coords = Array.init n (coord_of_rank m) in
-  Array.init n (fun a ->
-      let ca = coords.(a) in
-      Array.init n (fun b ->
-          let cb = coords.(b) in
-          axis_distance ~wrap:m.wrap ~extent:m.cols ca.Coord.x cb.Coord.x
-          + axis_distance ~wrap:m.wrap ~extent:m.rows ca.Coord.y cb.Coord.y))
-
 (* Per-axis step towards [target]: +1/-1 on a plain mesh; on a torus, the
    direction of the shorter way round (non-wrapping on ties), applied
    modulo the extent. *)

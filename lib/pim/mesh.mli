@@ -43,7 +43,7 @@ val coord_of_rank : t -> int -> Coord.t
 
 (** [x_of_rank m r] / [y_of_rank m r] decode one axis of a rank's
     coordinate without allocating a {!Coord.t}: [x = r mod cols],
-    [y = r / cols]. The separable cost kernel leans on these.
+    [y = r / cols]. The separable cost model leans on these.
     @raise Invalid_argument if [r] is outside [0 .. size m - 1]. *)
 val x_of_rank : t -> int -> int
 
@@ -63,16 +63,6 @@ val distance : t -> int -> int -> int
 val x_distance_table : t -> int array array
 
 val y_distance_table : t -> int array array
-
-(** [distance_table m] materializes the full rank-to-rank distance matrix:
-    [(distance_table m).(a).(b) = distance m a b]. {b Oracle-only}: since
-    the flat-arena rewrite no scheduling path consumes this — distance
-    probes read the two per-axis tables above and the layered DP needs
-    only the mesh shape ({!Pathgraph.Layered.solve_axes}); the only remaining
-    consumer is the [`Naive] cost kernel's private table
-    ({!Sched.Cost.Naive}), kept as the cross-check oracle. Costs
-    [size m]² words — don't call it on a hot path. *)
-val distance_table : t -> int array array
 
 (** [xy_route m ~src ~dst] is the dimension-ordered (x first, then y) route
     from [src] to [dst] as the list of ranks visited, {e including} both

@@ -24,7 +24,6 @@ type instance = {
   arrays : string option;
   inter_cost : int;
   unbounded : bool;
-  kernel : Sched.Problem.kernel;
 }
 
 type op =
@@ -133,14 +132,6 @@ let decode_mesh fields =
       if rows < 1 || cols < 1 then reject "mesh shape must be positive";
       { rows; cols; torus = get_bool m "torus" ~default:false }
 
-let decode_kernel fields =
-  match get_string fields "kernel" ~default:"separable" with
-  | "separable" -> `Separable
-  | "naive" -> `Naive
-  | s ->
-      reject
-        (Printf.sprintf "unknown kernel %S (expected separable or naive)" s)
-
 let decode_fault fields =
   match get_obj fields "fault" with
   | None -> None
@@ -194,6 +185,14 @@ let decode_instance fields =
   if size < 1 then reject "field \"size\" must be positive";
   let inter_cost = get_int fields "inter_cost" ~default:10 in
   if inter_cost < 1 then reject "field \"inter_cost\" must be >= 1";
+  (* The retired cost-model selector: its one remaining value (the
+     default) is accepted, so older clients keep working; any other
+     value is refused rather than silently ignored. *)
+  (match get_string fields "kernel" ~default:"separable" with
+  | "separable" -> ()
+  | s ->
+      reject
+        (Printf.sprintf "field \"kernel\" is no longer supported (got %S)" s));
   {
     workload;
     trace_text;
@@ -203,7 +202,6 @@ let decode_instance fields =
     arrays = get_opt_string fields "arrays";
     inter_cost;
     unbounded = get_bool fields "unbounded" ~default:false;
-    kernel = decode_kernel fields;
   }
 
 let decode_deadline fields =

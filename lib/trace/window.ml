@@ -6,7 +6,7 @@ type t = {
   reads : (int, int) Hashtbl.t array;
   writes_ : (int, int) Hashtbl.t array;
   (* dense combined (reads + writes) counts, indexed by processor rank and
-     grown on demand; the source the separable cost kernel reads marginals
+     grown on demand; the source the separable cost model reads marginals
      from. [combined.(data).(proc)] is maintained incrementally by [add]
      and summed row-wise by [merge]. *)
   mutable combined : int array array;
@@ -105,7 +105,7 @@ let marginals t ~data ~cols ~rows =
   let row = t.combined.(data) in
   let size = cols * rows in
   (* track (x, y) incrementally instead of a div/mod per rank — the walk
-     over the dense row is the hot half of every separable-kernel fill *)
+     over the dense row is the hot half of every separable cost fill *)
   let x = ref 0 and y = ref 0 in
   for proc = 0 to Array.length row - 1 do
     let count = row.(proc) in

@@ -96,6 +96,74 @@ let prop_free_gomcds_never_worse =
       in
       Sched.Schedule.total_cost (Sched.Gomcds.schedule (Sched.Problem.create mesh t)) t <= adaptive)
 
+(* The pre-port adaptation DP, kept as the oracle [Adapt.run] is pinned
+   to: the callback GOMCDS problem with its entry cost raised by the
+   migration out of the imposed location, solved datum by datum
+   (heaviest first) through [Pim_oracle.Callback_dp], with the same
+   memory mask under a capacity. *)
+let oracle_adapt ?capacity ~initial mesh trace =
+  let module C = Pim_oracle.Callback_dp in
+  let n_data = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
+  let n_windows = Reftrace.Trace.n_windows trace in
+  let schedule = Sched.Schedule.create mesh ~n_windows ~n_data in
+  let mems =
+    Option.map
+      (fun c ->
+        Array.init n_windows (fun _ -> Pim.Memory.create mesh ~capacity:c))
+      capacity
+  in
+  List.iter
+    (fun data ->
+      let p = C.gomcds_problem mesh trace ~data in
+      let p =
+        {
+          p with
+          C.enter_cost =
+            (fun j ->
+              Pim.Mesh.distance mesh initial.(data) j + p.C.enter_cost j);
+        }
+      in
+      let centers =
+        match mems with
+        | None -> snd (C.solve p)
+        | Some mems ->
+            let allowed ~layer j = not (Pim.Memory.is_full mems.(layer) j) in
+            let _, centers = Option.get (C.solve_filtered p ~allowed) in
+            Array.iteri
+              (fun layer rank -> assert (Pim.Memory.allocate mems.(layer) rank))
+              centers;
+            centers
+      in
+      Array.iteri
+        (fun w rank -> Sched.Schedule.set_center schedule ~window:w ~data rank)
+        centers)
+    (Sched.Ordering.by_total_references trace);
+  schedule
+
+let prop_matches_callback_oracle (mesh, label) =
+  let arb =
+    QCheck.triple
+      (Gen.trace_arbitrary ~mesh ~max_data:12 ~max_windows:4 ~max_count:3 ())
+      QCheck.small_nat QCheck.bool
+  in
+  QCheck.Test.make
+    ~name:("Adapt.run = callback-DP oracle, bounded and unbounded, " ^ label)
+    ~count:60 arb (fun (t, seed, bounded) ->
+      let n = Reftrace.Data_space.size (Reftrace.Trace.space t) in
+      let size = Pim.Mesh.size mesh in
+      let initial =
+        Array.init n (fun d -> (seed + 1) * ((7 * d) + 3) mod size)
+      in
+      (* headroom 1: the tightest feasible capacity, so the mask bites *)
+      let capacity =
+        if bounded then
+          Some (Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:1)
+        else None
+      in
+      Sched.Schedule.equal
+        (Sched.Adapt.run ?capacity ~initial mesh t)
+        (oracle_adapt ?capacity ~initial mesh t))
+
 let suite =
   [
     Gen.case "stays when already optimal" test_stays_when_already_optimal;
@@ -106,4 +174,7 @@ let suite =
     Gen.to_alcotest prop_sandwiched_between_static_and_optimal;
     Gen.to_alcotest prop_capacity_respected;
     Gen.to_alcotest prop_free_gomcds_never_worse;
+    Gen.to_alcotest (prop_matches_callback_oracle (mesh, "mesh"));
+    Gen.to_alcotest
+      (prop_matches_callback_oracle (Pim.Mesh.torus ~rows:3 ~cols:5, "torus"));
   ]

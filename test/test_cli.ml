@@ -263,8 +263,11 @@ let test_jobs_and_kernel_validated () =
     [
       ("jobs 0", "schedule -b 1 -n 8 --jobs 0", "expected N >= 1");
       ("jobs negative", "compare -b 1 -n 8 --jobs=-3", "expected N >= 1");
-      ("unknown kernel", "schedule -b 1 -n 8 --kernel wizardry",
-       "unknown kernel");
+      (* the cost-kernel switch is gone: even its old default is refused *)
+      ("kernel removed", "schedule -b 1 -n 8 --kernel separable",
+       "unknown option '--kernel'");
+      ("kernel removed (naive)", "compare -b 1 -n 8 --kernel naive",
+       "unknown option '--kernel'");
     ]
 
 let test_faults () =

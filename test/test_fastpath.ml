@@ -2,28 +2,20 @@
    paths: every rewritten layer is pinned byte-identical to the surviving
    oracle it replaced.
 
-   - arena-backed vectors vs per-array [Cost.cost_vector] builds;
+   - arena-backed vectors and path costs vs the naive cost oracle
+     ([Pim_oracle.Naive_cost]);
    - [Cost.argmin_of_marginals] vs the full-vector ascending argmin, on
      meshes and tori (circular prefix sums);
    - the separable [Layered.solve_axes] core and the [Layered.solve_table]
-     fallback vs the full-table dense DP ([Layered_oracle], test-only),
+     fallback vs the full-table dense DP ([Pim_oracle.Layered_oracle]),
      on tie-heavy vectors, degenerate rings and lines, even and odd tori
      and masks that kill whole rows; [Layered.solve_group] vs a dense
      whole-group oracle; [Grouping]'s [`Global] centers vs the closure
-     DP they used to run through;
+     DP they used to run through ([Pim_oracle.Callback_dp]);
    - the [Problem.t]-ported [Annealing]/[Online] vs verbatim copies of
      their pre-port standalone implementations, at fixed seeds, serial
      and at jobs = 4;
-   - [Window.merge]'s direct row summation vs replaying every reference.
-
-   The whole suite honours PIMSCHED_TEST_KERNEL=naive so CI exercises the
-   oracle pairing under both cost kernels ([Problem]-level comparisons
-   only — the kernels themselves are cross-checked in test_kernel.ml). *)
-
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
+   - [Window.merge]'s direct row summation vs replaying every reference. *)
 
 let torus44 = Pim.Mesh.torus ~rows:4 ~cols:4
 let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
@@ -32,16 +24,13 @@ let torus35 = Pim.Mesh.torus ~rows:3 ~cols:5
 let meshes = [ Gen.mesh44; torus35 ]
 
 let problem_of ?policy ?(jobs = 1) mesh trace =
-  Sched.Problem.create ?policy ~jobs ~kernel mesh trace
+  Sched.Problem.create ?policy ~jobs mesh trace
 
 (* ------------------------------------------------------------------ *)
 (* (a) arena rows vs per-array vectors                                 *)
 (* ------------------------------------------------------------------ *)
 
-let oracle_vector mesh window ~data =
-  match kernel with
-  | `Separable -> Sched.Cost.cost_vector mesh window ~data
-  | `Naive -> Sched.Cost.Naive.cost_vector mesh window ~data
+let oracle_vector = Pim_oracle.Naive_cost.cost_vector
 
 let prop_arena_matches_per_array_vectors mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
@@ -174,7 +163,7 @@ let prop_solve_axes_matches_dense mesh label =
     ~name:("solve_axes equals full-table solve_dense, " ^ label)
     ~count:60 arb (fun (n_layers, flat, mask) ->
       let m = Pim.Mesh.size mesh in
-      let dist = Pim.Mesh.distance_table mesh in
+      let dist = Pim_oracle.Naive_cost.distance_table mesh in
       let shape = shape_of mesh in
       let vectors =
         Array.init n_layers (fun w -> Array.sub flat (w * m) m)
@@ -183,9 +172,9 @@ let prop_solve_axes_matches_dense mesh label =
       let buffer_of a =
         Bigarray.Array1.of_array Bigarray.Int Bigarray.C_layout a
       in
-      let dense = Some (Layered_oracle.solve_dense ~dist ~vectors) in
+      let dense = Some (Pim_oracle.Layered_oracle.solve_dense ~dist ~vectors) in
       let dense_filtered =
-        Layered_oracle.solve_dense_filtered ~dist ~vectors ~allowed
+        Pim_oracle.Layered_oracle.solve_dense_filtered ~dist ~vectors ~allowed
       in
       let axes ?allowed ?offsets flat =
         Pathgraph.Layered.solve_axes ?allowed ?offsets ~shape
@@ -231,7 +220,7 @@ let dp_shapes =
 (* Oracle for GOMCDS-grouped's [`Global] centers: the same greedy
    partition ([`Local] groups), each group's summed cost vector as a
    layer, steps priced by [Problem.distance] through the callback
-   [Layered.solve_filtered], dead ranks masked *)
+   [Callback_dp.solve_filtered], dead ranks masked *)
 let oracle_global_groups problem ~data =
   let local = Sched.Grouping.groups problem ~data ~centers:`Local in
   match local with
@@ -251,7 +240,7 @@ let oracle_global_groups problem ~data =
       in
       let p =
         {
-          Pathgraph.Layered.n_layers = Array.length vecs;
+          Pim_oracle.Callback_dp.n_layers = Array.length vecs;
           width = Array.length vecs.(0);
           enter_cost = (fun j -> vecs.(0).(j));
           step_cost =
@@ -261,7 +250,7 @@ let oracle_global_groups problem ~data =
       in
       let _, centers =
         Option.get
-          (Pathgraph.Layered.solve_filtered p ~allowed:(fun ~layer:_ j ->
+          (Pim_oracle.Callback_dp.solve_filtered p ~allowed:(fun ~layer:_ j ->
                Sched.Problem.rank_alive problem j))
       in
       List.mapi (fun i g -> { g with Sched.Grouping.center = centers.(i) }) local
@@ -273,7 +262,7 @@ let prop_global_grouping_matches_closure_dp (mesh, fault, label) =
   QCheck.Test.make
     ~name:("Grouping `Global centers equal the closure DP, " ^ label)
     ~count:40 arb (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       List.for_all
         (fun data ->
           Sched.Grouping.groups problem ~data ~centers:`Global
@@ -376,7 +365,8 @@ let prop_solve_group_matches_dense =
       let vectors = Array.init n_layers (fun l -> Array.sub flat (l * total) total) in
       Pathgraph.Layered.solve_group ~members ~move_cost ~consts ~n_layers
         ~allowed ()
-      = Layered_oracle.solve_group_dense ~member ~intra ~move_cost ~consts
+      = Pim_oracle.Layered_oracle.solve_group_dense ~member ~intra ~move_cost
+          ~consts
           ~vectors ~allowed)
 
 (* ------------------------------------------------------------------ *)
@@ -696,10 +686,7 @@ let prop_layer_slab_compact mesh label =
 (* Arena-backed path / trajectory costs vs the Cost-module oracle      *)
 (* ------------------------------------------------------------------ *)
 
-let oracle_path_cost mesh profiles ~data =
-  match kernel with
-  | `Separable -> Sched.Cost.path_cost mesh profiles ~data
-  | `Naive -> Sched.Cost.Naive.path_cost mesh profiles ~data
+let oracle_path_cost = Pim_oracle.Naive_cost.path_cost
 
 let prop_path_cost_matches mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in

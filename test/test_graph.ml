@@ -6,42 +6,42 @@ let check_bool = Alcotest.(check bool)
 (* -- Digraph ------------------------------------------------------------ *)
 
 let test_digraph_basics () =
-  let g = Pathgraph.Digraph.create ~n_nodes:3 in
-  check_int "no edges" 0 (Pathgraph.Digraph.n_edges g);
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:5;
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:2 ~weight:7;
-  check_int "two edges" 2 (Pathgraph.Digraph.n_edges g);
+  let g = Pim_oracle.Digraph.create ~n_nodes:3 in
+  check_int "no edges" 0 (Pim_oracle.Digraph.n_edges g);
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:5;
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:2 ~weight:7;
+  check_int "two edges" 2 (Pim_oracle.Digraph.n_edges g);
   Alcotest.(check (list (pair int int)))
     "succ in insertion order"
     [ (1, 5); (2, 7) ]
-    (Pathgraph.Digraph.succ g 0);
+    (Pim_oracle.Digraph.succ g 0);
   Alcotest.(check (list int))
     "in degrees" [ 0; 1; 1 ]
-    (Array.to_list (Pathgraph.Digraph.in_degrees g))
+    (Array.to_list (Pim_oracle.Digraph.in_degrees g))
 
 let test_digraph_validation () =
   Alcotest.check_raises "empty graph"
     (Invalid_argument "Digraph.create: n_nodes must be positive") (fun () ->
-      ignore (Pathgraph.Digraph.create ~n_nodes:0));
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
+      ignore (Pim_oracle.Digraph.create ~n_nodes:0));
+  let g = Pim_oracle.Digraph.create ~n_nodes:2 in
   Alcotest.check_raises "bad node"
     (Invalid_argument "Digraph: node 9 out of range") (fun () ->
-      Pathgraph.Digraph.add_edge g ~src:0 ~dst:9 ~weight:1)
+      Pim_oracle.Digraph.add_edge g ~src:0 ~dst:9 ~weight:1)
 
 let test_digraph_negative_flag () =
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
-  check_bool "clean" false (Pathgraph.Digraph.has_negative_weight g);
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-1);
-  check_bool "flagged" true (Pathgraph.Digraph.has_negative_weight g)
+  let g = Pim_oracle.Digraph.create ~n_nodes:2 in
+  check_bool "clean" false (Pim_oracle.Digraph.has_negative_weight g);
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-1);
+  check_bool "flagged" true (Pim_oracle.Digraph.has_negative_weight g)
 
 (* -- Topo ---------------------------------------------------------------- *)
 
 let test_topo_sorts_dag () =
-  let g = Pathgraph.Digraph.create ~n_nodes:4 in
-  Pathgraph.Digraph.add_edge g ~src:2 ~dst:3 ~weight:0;
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:2 ~weight:0;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:2 ~weight:0;
-  match Pathgraph.Topo.sort g with
+  let g = Pim_oracle.Digraph.create ~n_nodes:4 in
+  Pim_oracle.Digraph.add_edge g ~src:2 ~dst:3 ~weight:0;
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:2 ~weight:0;
+  Pim_oracle.Digraph.add_edge g ~src:1 ~dst:2 ~weight:0;
+  match Pim_oracle.Topo.sort g with
   | None -> Alcotest.fail "expected a DAG"
   | Some order ->
       let pos = Array.make 4 0 in
@@ -51,53 +51,53 @@ let test_topo_sorts_dag () =
       check_bool "2 before 3" true (pos.(2) < pos.(3))
 
 let test_topo_detects_cycle () =
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:0;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:0 ~weight:0;
-  check_bool "cyclic" false (Pathgraph.Topo.is_dag g);
+  let g = Pim_oracle.Digraph.create ~n_nodes:2 in
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:0;
+  Pim_oracle.Digraph.add_edge g ~src:1 ~dst:0 ~weight:0;
+  check_bool "cyclic" false (Pim_oracle.Topo.is_dag g);
   Alcotest.check_raises "sort_exn"
     (Invalid_argument "Topo.sort_exn: graph has a cycle") (fun () ->
-      ignore (Pathgraph.Topo.sort_exn g))
+      ignore (Pim_oracle.Topo.sort_exn g))
 
 (* -- Shortest_path ------------------------------------------------------- *)
 
 let diamond () =
   (* 0 -> 1 (1), 0 -> 2 (4), 1 -> 2 (1), 1 -> 3 (5), 2 -> 3 (1) *)
-  let g = Pathgraph.Digraph.create ~n_nodes:5 in
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:2 ~weight:4;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:2 ~weight:1;
-  Pathgraph.Digraph.add_edge g ~src:1 ~dst:3 ~weight:5;
-  Pathgraph.Digraph.add_edge g ~src:2 ~dst:3 ~weight:1;
+  let g = Pim_oracle.Digraph.create ~n_nodes:5 in
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:1;
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:2 ~weight:4;
+  Pim_oracle.Digraph.add_edge g ~src:1 ~dst:2 ~weight:1;
+  Pim_oracle.Digraph.add_edge g ~src:1 ~dst:3 ~weight:5;
+  Pim_oracle.Digraph.add_edge g ~src:2 ~dst:3 ~weight:1;
   g
 
 let test_dijkstra_diamond () =
-  let r = Pathgraph.Shortest_path.dijkstra (diamond ()) ~source:0 in
+  let r = Pim_oracle.Shortest_path.dijkstra (diamond ()) ~source:0 in
   Alcotest.(check (option int))
     "dist to 3" (Some 3)
-    (Pathgraph.Shortest_path.distance r ~target:3);
+    (Pim_oracle.Shortest_path.distance r ~target:3);
   Alcotest.(check (option (list int)))
     "path" (Some [ 0; 1; 2; 3 ])
-    (Pathgraph.Shortest_path.path r ~target:3);
+    (Pim_oracle.Shortest_path.path r ~target:3);
   Alcotest.(check (option int))
     "unreachable" None
-    (Pathgraph.Shortest_path.distance r ~target:4)
+    (Pim_oracle.Shortest_path.distance r ~target:4)
 
 let test_dag_matches_dijkstra () =
   let g = diamond () in
-  let a = Pathgraph.Shortest_path.dijkstra g ~source:0 in
-  let b = Pathgraph.Shortest_path.dag g ~source:0 in
+  let a = Pim_oracle.Shortest_path.dijkstra g ~source:0 in
+  let b = Pim_oracle.Shortest_path.dag g ~source:0 in
   Alcotest.(check (list int))
     "same distances"
-    (Array.to_list a.Pathgraph.Shortest_path.dist)
-    (Array.to_list b.Pathgraph.Shortest_path.dist)
+    (Array.to_list a.Pim_oracle.Shortest_path.dist)
+    (Array.to_list b.Pim_oracle.Shortest_path.dist)
 
 let test_dijkstra_rejects_negative () =
-  let g = Pathgraph.Digraph.create ~n_nodes:2 in
-  Pathgraph.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-2);
+  let g = Pim_oracle.Digraph.create ~n_nodes:2 in
+  Pim_oracle.Digraph.add_edge g ~src:0 ~dst:1 ~weight:(-2);
   Alcotest.check_raises "negative"
     (Invalid_argument "Shortest_path.dijkstra: negative edge weight")
-    (fun () -> ignore (Pathgraph.Shortest_path.dijkstra g ~source:0))
+    (fun () -> ignore (Pim_oracle.Shortest_path.dijkstra g ~source:0))
 
 let random_dag_arbitrary =
   (* Random DAG: edges only from lower to higher node ids. *)
@@ -107,30 +107,30 @@ let random_dag_arbitrary =
     list_size (int_range 0 (3 * n))
       (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 0 9))
     >>= fun edges ->
-    let g = Pathgraph.Digraph.create ~n_nodes:n in
+    let g = Pim_oracle.Digraph.create ~n_nodes:n in
     List.iter
       (fun (a, b, w) ->
-        if a < b then Pathgraph.Digraph.add_edge g ~src:a ~dst:b ~weight:w)
+        if a < b then Pim_oracle.Digraph.add_edge g ~src:a ~dst:b ~weight:w)
       edges;
     return g
   in
   QCheck.make
-    ~print:(fun g -> Format.asprintf "%a" Pathgraph.Digraph.pp g)
+    ~print:(fun g -> Format.asprintf "%a" Pim_oracle.Digraph.pp g)
     gen
 
 let prop_dag_equals_dijkstra =
   QCheck.Test.make ~name:"DAG relaxation = Dijkstra on random DAGs" ~count:100
     random_dag_arbitrary (fun g ->
-      let a = Pathgraph.Shortest_path.dijkstra g ~source:0 in
-      let b = Pathgraph.Shortest_path.dag g ~source:0 in
-      a.Pathgraph.Shortest_path.dist = b.Pathgraph.Shortest_path.dist)
+      let a = Pim_oracle.Shortest_path.dijkstra g ~source:0 in
+      let b = Pim_oracle.Shortest_path.dag g ~source:0 in
+      a.Pim_oracle.Shortest_path.dist = b.Pim_oracle.Shortest_path.dist)
 
 (* -- Layered ------------------------------------------------------------- *)
 
 let small_problem =
   (* 3 layers x 2 nodes; costs favour switching to node 1 in layer 1. *)
   {
-    Pathgraph.Layered.n_layers = 3;
+    Pim_oracle.Callback_dp.n_layers = 3;
     width = 2;
     enter_cost = (fun j -> if j = 0 then 0 else 10);
     step_cost =
@@ -143,7 +143,7 @@ let small_problem =
   }
 
 let test_layered_solve () =
-  let cost, centers = Pathgraph.Layered.solve small_problem in
+  let cost, centers = Pim_oracle.Callback_dp.solve small_problem in
   (* enter node 0 free, pay the single switch into node 1 at layer 1, then
      stay: cheaper than the occupancy-5 of staying at node 0 *)
   check_int "cost" 1 cost;
@@ -153,18 +153,18 @@ let test_layered_solve () =
 
 let test_layered_agrees_with_digraph () =
   let g, source, sink, _node_id =
-    Pathgraph.Layered.to_digraph small_problem
+    Pim_oracle.Callback_dp.to_digraph small_problem
   in
-  let r = Pathgraph.Shortest_path.dag g ~source in
-  let cost, _ = Pathgraph.Layered.solve small_problem in
+  let r = Pim_oracle.Shortest_path.dag g ~source in
+  let cost, _ = Pim_oracle.Callback_dp.solve small_problem in
   Alcotest.(check (option int))
     "same optimum" (Some cost)
-    (Pathgraph.Shortest_path.distance r ~target:sink)
+    (Pim_oracle.Shortest_path.distance r ~target:sink)
 
 let test_layered_filtered () =
   (* forbid node 1 in layer 1: forced to pay the occupancy 5 *)
   let allowed ~layer j = not (layer = 1 && j = 1) in
-  match Pathgraph.Layered.solve_filtered small_problem ~allowed with
+  match Pim_oracle.Callback_dp.solve_filtered small_problem ~allowed with
   | None -> Alcotest.fail "feasible problem"
   | Some (cost, centers) ->
       check_int "cost" 5 cost;
@@ -175,18 +175,18 @@ let test_layered_infeasible () =
   Alcotest.(check bool)
     "no path" true
     (Option.is_none
-       (Pathgraph.Layered.solve_filtered small_problem ~allowed))
+       (Pim_oracle.Callback_dp.solve_filtered small_problem ~allowed))
 
 let test_layered_single_layer () =
   let p =
     {
-      Pathgraph.Layered.n_layers = 1;
+      Pim_oracle.Callback_dp.n_layers = 1;
       width = 3;
       enter_cost = (fun j -> 5 - j);
       step_cost = (fun ~layer:_ _ _ -> assert false);
     }
   in
-  let cost, centers = Pathgraph.Layered.solve p in
+  let cost, centers = Pim_oracle.Callback_dp.solve p in
   check_int "picks cheapest" 3 cost;
   check_int "node 2" 2 centers.(0)
 
@@ -205,7 +205,7 @@ let problem_of (n_layers, width, seed) =
   (* deterministic pseudo-random costs from the seed *)
   let cost a b c = 1 + ((seed + (31 * a) + (7 * b) + (3 * c)) mod 13) in
   {
-    Pathgraph.Layered.n_layers;
+    Pim_oracle.Callback_dp.n_layers;
     width;
     enter_cost = (fun j -> cost 0 0 j);
     step_cost = (fun ~layer j k -> cost layer j k);
@@ -215,10 +215,10 @@ let prop_layered_dp_equals_explicit_graph =
   QCheck.Test.make ~name:"layered DP = explicit cost-graph shortest path"
     ~count:100 layered_random_arbitrary (fun spec ->
       let p = problem_of spec in
-      let dp_cost, _ = Pathgraph.Layered.solve p in
-      let g, source, sink, _ = Pathgraph.Layered.to_digraph p in
-      let r = Pathgraph.Shortest_path.dag g ~source in
-      Pathgraph.Shortest_path.distance r ~target:sink = Some dp_cost)
+      let dp_cost, _ = Pim_oracle.Callback_dp.solve p in
+      let g, source, sink, _ = Pim_oracle.Callback_dp.to_digraph p in
+      let r = Pim_oracle.Shortest_path.dag g ~source in
+      Pim_oracle.Shortest_path.distance r ~target:sink = Some dp_cost)
 
 let suite =
   [

@@ -1,7 +1,10 @@
-(* Cross-checks of the separable cost kernel against the [Cost.Naive]
-   oracle: byte-identical cost vectors, local optima (including tie order)
-   and path costs on random meshes and tori, plus the Problem-level kernel
-   switch, cache-sharing and build-counter contracts. *)
+(* Cross-checks of the separable cost model against the naive oracle
+   ([Pim_oracle.Naive_cost]): byte-identical cost vectors, local optima
+   (including tie order) and path costs on random meshes and tori, every
+   value a scheduler reads off a [Problem] session, plus the
+   cache-sharing and build-counter contracts. *)
+
+module Naive = Pim_oracle.Naive_cost
 
 let check_int = Alcotest.(check int)
 
@@ -41,14 +44,14 @@ let prop_cost_vectors_equal =
     ~count:200 instance_arbitrary (fun inst ->
       for_all_pairs inst (fun mesh w ~data ->
           Sched.Cost.cost_vector mesh w ~data
-          = Sched.Cost.Naive.cost_vector mesh w ~data))
+          = Naive.cost_vector mesh w ~data))
 
 let prop_reference_cost_equals_vector_entry =
   QCheck.Test.make
     ~name:"separable reference_cost = its cost_vector entry, every center"
     ~count:100 instance_arbitrary (fun inst ->
       for_all_pairs inst (fun mesh w ~data ->
-          let v = Sched.Cost.Naive.cost_vector mesh w ~data in
+          let v = Naive.cost_vector mesh w ~data in
           let ok = ref true in
           for center = 0 to Array.length v - 1 do
             if Sched.Cost.reference_cost mesh w ~data ~center <> v.(center)
@@ -62,7 +65,7 @@ let prop_local_optima_equal =
     ~count:200 instance_arbitrary (fun inst ->
       for_all_pairs inst (fun mesh w ~data ->
           Sched.Cost.local_optimal_center mesh w ~data
-          = Sched.Cost.Naive.local_optimal_center mesh w ~data))
+          = Naive.local_optimal_center mesh w ~data))
 
 let prop_path_costs_equal =
   QCheck.Test.make ~name:"separable path_cost = Naive path_cost" ~count:100
@@ -74,7 +77,7 @@ let prop_path_costs_equal =
         (* two trajectories: the per-window local optima, and all-zero *)
         let optima =
           List.map
-            (fun w -> (w, Sched.Cost.Naive.local_optimal_center mesh w ~data))
+            (fun w -> (w, Naive.local_optimal_center mesh w ~data))
             windows
         in
         let home = List.map (fun w -> (w, 0)) windows in
@@ -82,7 +85,7 @@ let prop_path_costs_equal =
           (fun pairs ->
             if
               Sched.Cost.path_cost mesh pairs ~data
-              <> Sched.Cost.Naive.path_cost mesh pairs ~data
+              <> Naive.path_cost mesh pairs ~data
             then ok := false)
           [ optima; home ]
       done;
@@ -99,56 +102,55 @@ let prop_marginals_conserve_mass =
           let sum = Array.fold_left ( + ) 0 in
           sum mx = Reftrace.Window.references w data && sum mx = sum my))
 
-(* The kernel switch must be invisible in results: identical cached vectors
-   and identical schedules from every algorithm that prices merges or
-   trajectories. *)
-let prop_problem_kernels_agree =
-  QCheck.Test.make ~name:"Problem kernel=naive and separable agree"
-    ~count:50 instance_arbitrary (fun (mesh, trace) ->
-      let sep = Sched.Problem.create ~kernel:`Separable mesh trace in
-      let nai = Sched.Problem.create ~kernel:`Naive mesh trace in
-      let n = Sched.Problem.n_data sep in
-      let vectors_ok = ref true in
-      for data = 0 to n - 1 do
-        for w = 0 to Sched.Problem.n_windows sep - 1 do
-          if
-            Sched.Problem.cost_vector sep ~window:w ~data
-            <> Sched.Problem.cost_vector nai ~window:w ~data
-          then vectors_ok := false
-        done;
-        if
-          Sched.Problem.merged_vector sep ~data
-          <> Sched.Problem.merged_vector nai ~data
-        then vectors_ok := false
-      done;
-      let schedules_ok =
-        List.for_all
-          (fun algo ->
-            Sched.Schedule.equal
-              (Sched.Scheduler.solve sep algo)
-              (Sched.Scheduler.solve nai algo))
-          Sched.Scheduler.
-            [ Scds; Lomcds; Gomcds; Lomcds_grouped; Gomcds_grouped ]
-      in
-      !vectors_ok && schedules_ok)
-
-let prop_problem_kernels_agree_bounded =
+(* Every value a scheduler reads from a session's cost model, pinned to
+   the naive oracle for every (window, datum): the arena row, the merged
+   vector, both optimal centers (lowest rank on ties) and the candidate
+   order. Session [a] asks for centers and candidates first, so they come
+   off the vector-free paths (marginal argmin, fill-skipping candidates)
+   before [cost_vector] fills rows one at a time; session [b] fills every
+   row through the window-batched [prefetch_all] first, so candidates sort
+   straight off the slab. The capacity policy must not move any value. *)
+let prop_problem_matches_oracle =
   QCheck.Test.make
-    ~name:"Problem kernels agree under a bounded capacity policy" ~count:30
-    instance_arbitrary (fun (mesh, trace) ->
+    ~name:"Problem cost model = naive oracle, every (window, datum)"
+    ~count:100
+    (QCheck.pair instance_arbitrary QCheck.bool)
+    (fun ((mesh, trace), bounded) ->
       let n = Reftrace.Data_space.size (Reftrace.Trace.space trace) in
-      let capacity =
-        Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2
+      let policy =
+        if bounded then
+          Sched.Problem.Bounded
+            (Pim.Memory.capacity_for ~data_count:n ~mesh ~headroom:2)
+        else Sched.Problem.Unbounded
       in
-      let policy = Sched.Problem.Bounded capacity in
-      let sep = Sched.Problem.create ~policy ~kernel:`Separable mesh trace in
-      let nai = Sched.Problem.create ~policy ~kernel:`Naive mesh trace in
-      List.for_all
-        (fun algo ->
-          Sched.Schedule.equal
-            (Sched.Scheduler.solve sep algo)
-            (Sched.Scheduler.solve nai algo))
-        Sched.Scheduler.[ Gomcds; Lomcds_grouped; Gomcds_grouped ])
+      let a = Sched.Problem.create ~policy mesh trace in
+      let b = Sched.Problem.create ~policy mesh trace in
+      Sched.Problem.prefetch_all b;
+      let merged = Reftrace.Trace.merged trace in
+      let ok = ref true in
+      let expect cond = if not cond then ok := false in
+      for data = 0 to n - 1 do
+        List.iteri
+          (fun window w ->
+            let v = Naive.cost_vector mesh w ~data in
+            let cands =
+              Sched.Processor_list.of_costs ~n:(Array.length v) (Array.get v)
+            in
+            expect (Sched.Problem.candidates a ~window ~data = cands);
+            expect
+              (Sched.Problem.optimal_center a ~window ~data
+              = Naive.local_optimal_center mesh w ~data);
+            expect (Sched.Problem.cost_vector a ~window ~data = v);
+            expect (Sched.Problem.candidates b ~window ~data = cands);
+            expect (Sched.Problem.cost_vector b ~window ~data = v))
+          (Reftrace.Trace.windows trace);
+        let c = Naive.local_optimal_center mesh merged ~data in
+        expect (Sched.Problem.merged_optimal_center a ~data = c);
+        expect
+          (Sched.Problem.merged_vector a ~data
+          = Naive.cost_vector mesh merged ~data)
+      done;
+      !ok)
 
 let prop_problem_path_cost_matches_cost =
   QCheck.Test.make
@@ -245,16 +247,6 @@ let test_with_policy_and_jobs_share_caches () =
     "with_jobs serves the same arena slab" true
     (slab == fst (Sched.Problem.layer_slab jobs2 ~data:0))
 
-let test_with_kernel_rebuilds () =
-  let problem = Sched.Problem.create Gen.mesh44 (shared_trace ()) in
-  let v = Sched.Problem.cost_vector problem ~window:0 ~data:0 in
-  let nai = Sched.Problem.with_kernel problem `Naive in
-  let v' = Sched.Problem.cost_vector nai ~window:0 ~data:0 in
-  Alcotest.(check bool) "same kernel is a no-op" true
-    (problem == Sched.Problem.with_kernel problem `Separable);
-  Alcotest.(check bool) "fresh caches across kernels" true (not (v == v'));
-  Alcotest.(check (array int)) "identical values across kernels" v v'
-
 let metric name snapshot = Obs.Metrics.counter snapshot name
 
 let test_build_counters () =
@@ -272,18 +264,10 @@ let test_build_counters () =
          keep the arena's zero fill and charge no build. Each is built
          exactly once despite the second prefetch. *)
       check_int "separable builds" 4 (metric "cost.separable_builds" snap);
-      check_int "no naive builds" 0 (metric "cost.naive_builds" snap);
       check_int "marginal misses" 4 (metric "problem.marginals_miss" snap);
       check_int "arena bytes"
         (8 * 2 * 3 * 16)
-        (metric "problem.arena_bytes" snap);
-      Obs.reset ();
-      let nai = Sched.Problem.create ~kernel:`Naive Gen.mesh44 trace in
-      Sched.Problem.prefetch_all nai;
-      let snap = Obs.Metrics.snapshot () in
-      check_int "naive builds" 4 (metric "cost.naive_builds" snap);
-      check_int "no separable builds" 0
-        (metric "cost.separable_builds" snap))
+        (metric "problem.arena_bytes" snap))
 
 let suite =
   [
@@ -292,14 +276,12 @@ let suite =
     Gen.case "vector assembly layout" test_vector_of_marginals_layout;
     Gen.case "with_policy/with_jobs share caches"
       test_with_policy_and_jobs_share_caches;
-    Gen.case "with_kernel rebuilds caches" test_with_kernel_rebuilds;
     Gen.case "kernel build counters" test_build_counters;
     Gen.to_alcotest prop_cost_vectors_equal;
     Gen.to_alcotest prop_reference_cost_equals_vector_entry;
     Gen.to_alcotest prop_local_optima_equal;
     Gen.to_alcotest prop_path_costs_equal;
     Gen.to_alcotest prop_marginals_conserve_mass;
-    Gen.to_alcotest prop_problem_kernels_agree;
-    Gen.to_alcotest prop_problem_kernels_agree_bounded;
+    Gen.to_alcotest prop_problem_matches_oracle;
     Gen.to_alcotest prop_problem_path_cost_matches_cost;
   ]

@@ -5,22 +5,17 @@
      metric, and the virtual-mesh embedding;
    - the migration DP is pinned to a dense oracle: per datum, the full
      group distance matrix + full per-window cost vectors fed to
-     [Layered_oracle.solve_dense] must price exactly what [Group_solver] pays
-     under Gomcds — slab projection, cross-array constants and the
-     scalar fabric edges all have to agree with the flat metric;
+     [Pim_oracle.Layered_oracle.solve_dense] must price exactly what
+     [Group_solver] pays under Gomcds — slab projection, cross-array
+     constants and the scalar fabric edges all have to agree with the
+     flat metric;
    - single-array degeneracy: a 1-member group is byte-identical to the
      plain Mesh path across every scheduler, mesh and torus, bounded and
-     unbounded, jobs 1 and 4 (the suite honours PIMSCHED_TEST_KERNEL=naive
-     so CI covers both cost kernels);
+     unbounded, jobs 1 and 4;
    - whole-array faults: injection is deterministic and monotone, dead
      arrays never host data, and reschedule-on-failure never loses to
      riding out the repaired plan;
    - plan serialization round-trips heterogeneous groups. *)
-
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -151,7 +146,7 @@ let dense_group_optimum group trace d =
               0
               (Reftrace.Window.profile win d)))
   in
-  Layered_oracle.solve_dense ~dist ~vectors
+  Pim_oracle.Layered_oracle.solve_dense ~dist ~vectors
 
 let prop_dp_matches_dense_oracle =
   let group = hetero ~inter_cost:4 () in
@@ -159,7 +154,7 @@ let prop_dp_matches_dense_oracle =
     ~name:"group Gomcds total = sum of dense per-datum group optima" ~count:30
     (group_trace_arbitrary group ~max_data:5 ~max_windows:4 ~max_count:3)
     (fun trace ->
-      let gp = Multi.Group_problem.create ~kernel group trace in
+      let gp = Multi.Group_problem.create group trace in
       let plan, breakdown =
         Multi.Group_solver.evaluate gp Sched.Scheduler.Gomcds
       in
@@ -182,7 +177,7 @@ let prop_dp_beats_static =
     ~count:20
     (group_trace_arbitrary group ~max_data:6 ~max_windows:4 ~max_count:3)
     (fun trace ->
-      let gp = Multi.Group_problem.create ~kernel group trace in
+      let gp = Multi.Group_problem.create group trace in
       let _, dp = Multi.Group_solver.evaluate gp Sched.Scheduler.Gomcds in
       List.for_all
         (fun algo ->
@@ -200,12 +195,12 @@ let prop_jobs_invariance =
         (fun algo ->
           let s1 =
             Multi.Group_solver.solve
-              (Multi.Group_problem.create ~jobs:1 ~kernel group trace)
+              (Multi.Group_problem.create ~jobs:1 group trace)
               algo
           in
           let s4 =
             Multi.Group_solver.solve
-              (Multi.Group_problem.create ~jobs:4 ~kernel group trace)
+              (Multi.Group_problem.create ~jobs:4 group trace)
               algo
           in
           Multi.Group_schedule.equal s1 s4)
@@ -225,7 +220,7 @@ let test_migration_economics () =
       Gen.trace Gen.mesh44 ~n_data:1
         [ [ (0, 5, 9) ]; [ (0, 16 + 3, w1_count) ] ]
     in
-    let gp = Multi.Group_problem.create ~kernel group trace in
+    let gp = Multi.Group_problem.create group trace in
     let plan = Multi.Group_solver.solve gp Sched.Scheduler.Gomcds in
     ( Multi.Group_schedule.array_moves plan,
       Multi.Group_schedule.total_cost plan trace )
@@ -252,10 +247,10 @@ let degenerate_property mesh trace =
       List.for_all
         (fun jobs ->
           let problem =
-            Sched.Problem.create ~policy ~jobs ~kernel mesh trace
+            Sched.Problem.create ~policy ~jobs mesh trace
           in
           let gp =
-            Multi.Group_problem.create ~policy ~jobs ~kernel group trace
+            Multi.Group_problem.create ~policy ~jobs group trace
           in
           List.for_all
             (fun algo ->
@@ -404,7 +399,7 @@ let prop_dead_array_excluded =
     (group_trace_arbitrary group ~max_data:6 ~max_windows:3 ~max_count:3)
     (fun trace ->
       let fault = Multi.Group_fault.create ~dead_arrays:[ 1 ] () in
-      let gp = Multi.Group_problem.create ~kernel ~fault group trace in
+      let gp = Multi.Group_problem.create ~fault group trace in
       List.for_all
         (fun algo ->
           let plan = Multi.Group_solver.solve gp algo in
@@ -434,7 +429,7 @@ let prop_reschedule_never_loses =
           };
         ]
       in
-      let gp = Multi.Group_problem.create ~kernel group trace in
+      let gp = Multi.Group_problem.create group trace in
       List.for_all
         (fun algo ->
           let ride =
@@ -454,7 +449,7 @@ let test_no_events_pays_planned () =
     Gen.trace Gen.mesh44 ~n_data:3
       [ [ (0, 1, 2); (1, 6, 1) ]; [ (2, 8, 3); (0, 3, 1) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let r = Multi.Group_resilience.run gp Sched.Scheduler.Gomcds in
   check_int "paid = planned with no events" r.planned_cost r.paid_cost;
   check_int "no evictions" 0 r.evicted;
@@ -471,7 +466,7 @@ let test_eviction_accounted () =
     Gen.trace Gen.mesh44 ~n_data:2
       [ [ (0, 0, 5); (1, 3, 5) ]; [ (0, 0, 1); (1, 3, 1) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let events =
     [
       {
@@ -501,7 +496,7 @@ let test_bounded_assignment_spreads () =
   let refs = List.init 16 (fun d -> (d, d mod 4, 1)) in
   let trace = Gen.trace Gen.mesh44 ~n_data:16 [ refs ] in
   let gp =
-    Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 2) ~kernel group
+    Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 2) group
       trace
   in
   let asn = Multi.Group_problem.assignment gp in
@@ -528,7 +523,7 @@ let test_bounded_assignment_spreads () =
   check_bool "infeasible refused" true
     (try
        Multi.Group_problem.check_feasible
-         (Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 1) ~kernel
+         (Multi.Group_problem.create ~policy:(Sched.Problem.Bounded 1)
             group
             (Gen.trace Gen.mesh44 ~n_data:9
                [ List.init 9 (fun d -> (d, 0, 1)) ]))
@@ -546,7 +541,7 @@ let test_serial_roundtrip () =
     Gen.trace Gen.mesh44 ~n_data:3
       [ [ (0, 1, 2); (1, 7, 1) ]; [ (2, 4, 3) ] ]
   in
-  let gp = Multi.Group_problem.create ~kernel group trace in
+  let gp = Multi.Group_problem.create group trace in
   let plan = Multi.Group_solver.solve gp Sched.Scheduler.Gomcds in
   let text = Multi.Group_serial.to_string plan in
   check_bool "header" true

@@ -129,8 +129,10 @@ let test_solve_response_shape () =
 (* ---- differential byte-identity vs one-shot solves ---- *)
 
 (* The served plan and cost must equal what a direct in-process solve of
-   the same instance produces, for both kernels, with and without faults,
-   and independently of the server's jobs setting. *)
+   the same instance produces, with and without faults, and independently
+   of the server's jobs setting. The retired cost-model selector is still
+   accepted at its one remaining value ("kernel":"separable" serves
+   exactly like no field); any other value is a typed bad-request. *)
 let test_differential () =
   let mesh = Pim.Mesh.create ~rows:4 ~cols:4 in
   let trace =
@@ -146,7 +148,7 @@ let test_differential () =
   in
   let dead_nodes = [ 5 ] in
   List.iter
-    (fun (kernel, kernel_name) ->
+    (fun kernel_field ->
       List.iter
         (fun faulty ->
           List.iter
@@ -156,8 +158,8 @@ let test_differential () =
               in
               let line =
                 Printf.sprintf
-                  {|{"id":1,"workload":"1","size":8,"algorithm":"%s","kernel":"%s"%s}|}
-                  alg_name kernel_name fault_json
+                  {|{"id":1,"workload":"1","size":8,"algorithm":"%s"%s%s}|}
+                  alg_name kernel_field fault_json
               in
               let responses =
                 List.map
@@ -168,7 +170,7 @@ let test_differential () =
               | [ r1; r4 ] ->
                   Alcotest.(check string)
                     (Printf.sprintf "%s/%s/fault=%b: jobs-independent"
-                       alg_name kernel_name faulty)
+                       alg_name kernel_field faulty)
                     r1 r4
               | _ -> assert false);
               let r = List.hd responses in
@@ -178,7 +180,7 @@ let test_differential () =
                 else Pim.Fault.none
               in
               let problem =
-                Sched.Problem.create ~policy ~kernel ~fault mesh trace
+                Sched.Problem.create ~policy ~fault mesh trace
               in
               let schedule =
                 Sched.Scheduler.solve problem
@@ -188,19 +190,29 @@ let test_differential () =
               let breakdown = Sched.Schedule.cost schedule trace in
               Alcotest.(check bool)
                 (Printf.sprintf "%s/%s/fault=%b: plan bytes" alg_name
-                   kernel_name faulty)
+                   kernel_field faulty)
                 true
                 (result_field r "plan"
                 = Some (Obs.Json.String expect_plan));
               Alcotest.(check bool)
-                (Printf.sprintf "%s/%s/fault=%b: total" alg_name kernel_name
+                (Printf.sprintf "%s/%s/fault=%b: total" alg_name kernel_field
                    faulty)
                 true
                 (result_field r "total"
                 = Some (Obs.Json.Int breakdown.Sched.Schedule.total)))
             [ "scds"; "gomcds" ])
         [ false; true ])
-    [ (`Separable, "separable"); (`Naive, "naive") ]
+    [ ""; {|,"kernel":"separable"|} ];
+  List.iter
+    (fun value ->
+      let r =
+        Server.handle_line (fresh ())
+          (Printf.sprintf
+             {|{"id":1,"workload":"1","size":8,"algorithm":"gomcds","kernel":%s}|}
+             value)
+      in
+      Alcotest.(check string) ("kernel " ^ value) "bad-request" (error_code r))
+    [ {|"naive"|}; {|"wizardry"|}; "1" ]
 
 (* An inline serialized trace must solve identically to the generated
    workload it came from. *)

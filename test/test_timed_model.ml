@@ -3,10 +3,9 @@
    Four pillars:
    - the degenerate Link_model (bandwidth 1, store-and-forward, unbounded
      queues, free compute) is pinned byte-identical to the retained
-     pre-model engine (Timed_simulator.Reference) — field by field,
-     including the legacy utilization float — across every scheduler,
-     both topologies, healthy and faulty arrays, and both cost kernels
-     (the suite honours PIMSCHED_TEST_KERNEL=naive);
+     pre-model engine (the oracle library's Timed_reference) — field by
+     field, including the legacy utilization float — across every
+     scheduler, both topologies, and healthy and faulty arrays;
    - QCheck invariants over random models and traffic: flit conservation,
      cycles >= ceil(load/bw) of the most loaded link and >= the longest
      single-packet serialized path, monotonicity in bandwidth and queue
@@ -19,13 +18,9 @@
      bottleneck link with depth-1 queues stall but never deadlock (the
      watchdog Deadlock exception must not fire). *)
 
-let kernel =
-  match Sys.getenv_opt "PIMSCHED_TEST_KERNEL" with
-  | Some "naive" -> `Naive
-  | _ -> `Separable
-
 module T = Pim.Timed_simulator
 module LM = Pim.Link_model
+module R = Pim_oracle.Timed_reference
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -55,12 +50,12 @@ let topo_cases =
 
 let matches_reference ?fault mesh rounds =
   let n = T.run ?fault ~model:LM.degenerate mesh rounds in
-  let o = T.Reference.run ?fault mesh rounds in
-  n.T.total_cycles = o.T.Reference.total_cycles
-  && n.T.total_volume_hops = o.T.Reference.total_volume_hops
-  && List.length n.T.rounds = List.length o.T.Reference.rounds
+  let o = R.run ?fault mesh rounds in
+  n.T.total_cycles = o.R.total_cycles
+  && n.T.total_volume_hops = o.R.total_volume_hops
+  && List.length n.T.rounds = List.length o.R.rounds
   && List.for_all2
-       (fun (nr : T.round_report) (orr : T.Reference.round_report) ->
+       (fun (nr : T.round_report) (orr : R.round_report) ->
          nr.round = orr.round && nr.cycles = orr.cycles
          && nr.messages = orr.messages
          && nr.volume_hops = orr.volume_hops
@@ -70,7 +65,7 @@ let matches_reference ?fault mesh rounds =
          && nr.flits = nr.messages
          && nr.queue_stall_cycles = 0
          && nr.compute_idle = 0)
-       n.T.rounds o.T.Reference.rounds
+       n.T.rounds o.R.rounds
 
 (* A fixed multi-window trace that fits both topologies (ranks <= 14). *)
 let fixed_trace mesh =
@@ -85,7 +80,7 @@ let test_differential_every_scheduler () =
   List.iter
     (fun (label, mesh, fault) ->
       let trace = fixed_trace mesh in
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       List.iter
         (fun algo ->
           let schedule = Sched.Scheduler.solve problem algo in
@@ -106,7 +101,7 @@ let prop_differential_random_traces (label, mesh, fault) =
     ~name:("degenerate model = reference engine, random traces, " ^ label)
     ~count:20 arb
     (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let rounds = Sched.Schedule.to_rounds schedule trace in
       matches_reference ~fault mesh rounds)
@@ -130,7 +125,7 @@ let prop_differential_raw_batches =
     ~name:"degenerate round_makespan = reference, raw message batches"
     ~count:100 random_messages_arbitrary (fun msgs ->
       T.round_makespan ~model:LM.degenerate mesh44 msgs
-      = T.Reference.round_makespan mesh44 msgs)
+      = R.round_makespan mesh44 msgs)
 
 (* ------------------------------------------------------------------ *)
 (* Link_model generators and pure invariants                           *)
@@ -336,7 +331,7 @@ let prop_energy_additivity =
    (same expressions, default parameters). *)
 let test_energy_matches_energy_module () =
   let trace = fixed_trace mesh44 in
-  let problem = Sched.Problem.create ~kernel mesh44 trace in
+  let problem = Sched.Problem.create mesh44 trace in
   let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
   let rounds = Sched.Schedule.to_rounds schedule trace in
   let report = T.run mesh44 rounds in
@@ -518,6 +513,83 @@ let test_fault_detour_stalls_no_deadlock () =
   check_bool "backpressure never speeds up" true
     (squeezed.T.cycles >= free.T.cycles)
 
+(* Bounded queues can finish a round {e sooner}: off a shared route,
+   blocking a packet upstream reorders the arrivals at a later link, and
+   a FIFO network then admits a Graham-style timing anomaly. Healthy 4x4
+   mesh, 15->0 v1 (P0, six hops), 14->4 v2 (P1) and 11->4 v2 (P2), all
+   three meeting on link 8->4:
+   - unbounded: P1 and P2 finish their hops into 8->4 at cycle 5 and
+     queue there in id order; P0 arrives at cycle 6, behind both, and
+     leaves 8->4 at cycle 10 — 12 cycles;
+   - depth 1: at cycle 5 P1 takes the only slot of 8->4's queue and P2
+     blocks on 9->8. At cycle 6 P1 owns 8->4 and its queue is empty
+     again; blocked P2 and freshly finished P0 advance in id order, so
+     P0 takes the slot and P2 blocks again (three stall cycles in all).
+     The long-path P0 now crosses 8->4 before P2 and the round ends at
+     cycle 11.
+   Every step follows the engine's rules (FIFO links, id-order advance,
+   backpressure), so this is the model, not a bug. Depths 2-4 give 12
+   cycles, and volume·hops is 22 throughout. The pin below keeps the
+   case; the property states what does hold. *)
+let test_bounded_queue_anomaly_pin () =
+  let at ?fault ?queue_depth mesh msgs =
+    T.round_stats ?fault ~model:(LM.create ?queue_depth ()) mesh msgs
+  in
+  let healthy =
+    [
+      msg ~src:15 ~dst:0 ~volume:1;
+      msg ~src:14 ~dst:4 ~volume:2;
+      msg ~src:11 ~dst:4 ~volume:2;
+    ]
+  in
+  let free = at mesh44 healthy in
+  let squeezed = at ~queue_depth:1 mesh44 healthy in
+  check_int "unbounded queues" 12 free.T.cycles;
+  check_int "depth-1 queues" 11 squeezed.T.cycles;
+  check_bool "depth 1 finishes sooner" true (squeezed.T.cycles < free.T.cycles);
+  check_int "depth-1 stalls" 3 squeezed.T.queue_stall_cycles;
+  List.iter
+    (fun d ->
+      check_int
+        (Printf.sprintf "depth-%d queues" d)
+        12
+        (at ~queue_depth:d mesh44 healthy).T.cycles)
+    [ 2; 3; 4 ];
+  check_int "volume-hops, unbounded" 22 free.T.volume_hops;
+  check_int "volume-hops, depth 1" 22 squeezed.T.volume_hops;
+  (* the same anomaly on the property's faulty mesh *)
+  let faulty =
+    [
+      msg ~src:8 ~dst:5 ~volume:1;
+      msg ~src:8 ~dst:3 ~volume:1;
+      msg ~src:0 ~dst:13 ~volume:1;
+    ]
+  in
+  check_int "faulty mesh, unbounded" 7
+    (at ~fault:fault_mesh mesh44 faulty).T.cycles;
+  check_int "faulty mesh, depth 1" 6
+    (at ~fault:fault_mesh ~queue_depth:1 mesh44 faulty).T.cycles
+
+(* A round's makespan lower bounds under [fault]: the most loaded link's
+   volume over the fault-aware routes, and the longest single-packet
+   serialized path along its detour. *)
+let fault_aware_bound ~fault model mesh msgs =
+  let oracle = Pim.Fault.Oracle.create mesh fault in
+  let stats = Pim.Link_stats.create ~fault mesh in
+  ignore (Pim.Router.route_all ~oracle mesh stats msgs);
+  let link_bound =
+    match Pim.Link_stats.max_link stats with
+    | Some (_, _, v) -> LM.hop_cycles model v
+    | None -> 0
+  in
+  List.fold_left
+    (fun acc (m : Pim.Router.message) ->
+      max acc
+        (flow_shop
+           ~hops:(Pim.Fault.Oracle.distance_exn oracle ~src:m.src ~dst:m.dst)
+           (fragment_times model m.volume)))
+    link_bound (live_of msgs)
+
 let prop_faulty_bounded_queues_terminate (label, mesh, fault) =
   let arb =
     Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:3 ~max_count:3 ()
@@ -526,16 +598,19 @@ let prop_faulty_bounded_queues_terminate (label, mesh, fault) =
     ~name:("bounded queues on faulty " ^ label ^ ": stall, never deadlock")
     ~count:20 arb
     (fun trace ->
-      let problem = Sched.Problem.create ~kernel ~fault mesh trace in
+      let problem = Sched.Problem.create ~fault mesh trace in
       let schedule = Sched.Scheduler.solve problem Sched.Scheduler.Gomcds in
       let rounds = Sched.Schedule.to_rounds schedule trace in
+      let model = LM.create ~queue_depth:1 () in
       let free = T.run ~fault mesh rounds in
       (* raises Deadlock (failing the test) if backpressure ever wedges *)
-      let squeezed =
-        T.run ~fault ~model:(LM.create ~queue_depth:1 ()) mesh rounds
-      in
-      squeezed.T.total_cycles >= free.T.total_cycles
-      && squeezed.T.total_volume_hops = free.T.total_volume_hops)
+      let squeezed = T.run ~fault ~model mesh rounds in
+      squeezed.T.total_volume_hops = free.T.total_volume_hops
+      && List.for_all2
+           (fun (r : T.round_report) { Pim.Simulator.migrations; references } ->
+             r.T.cycles
+             >= fault_aware_bound ~fault model mesh (migrations @ references))
+           squeezed.T.rounds rounds)
 
 let faulty_bounded_cases =
   [ ("mesh", mesh44, fault_mesh); ("torus", torus35, fault_torus) ]
@@ -580,6 +655,7 @@ let suite =
       test_compute_occupancy_delays_injection;
     Gen.case "fault detour through bottleneck stalls, no deadlock"
       test_fault_detour_stalls_no_deadlock;
+    Gen.case "bounded-queue timing anomaly pin" test_bounded_queue_anomaly_pin;
     Gen.to_alcotest
       (prop_faulty_bounded_queues_terminate (List.nth faulty_bounded_cases 0));
     Gen.to_alcotest
