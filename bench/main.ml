@@ -614,6 +614,20 @@ let engine_scaling () =
       ("attempts", Obs.Json.Int !attempts);
     ]
 
+(* Median of a sample of walls, and one wall in ms after a full major
+   collection -- the scaling sections below report both. *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+let wall_ms f =
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  f ();
+  (Unix.gettimeofday () -. t0) *. 1e3
+
 (* ------------------------------------------------------------------ *)
 (* GOMCDS scaling with the array size                                  *)
 (* ------------------------------------------------------------------ *)
@@ -633,18 +647,6 @@ let engine_scaling () =
 let gomcds_scaling () =
   section "GOMCDS scaling (unbounded, LU 16x16, jobs=1)";
   let reps = if quick then 3 else 5 in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-  in
-  let wall f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    f ();
-    (Unix.gettimeofday () -. t0) *. 1e3
-  in
   Printf.printf "%-8s %-6s %12s %12s %12s\n" "array" "topo" "cold ms" "dp ms"
     "dp min-max";
   let rows =
@@ -659,11 +661,11 @@ let gomcds_scaling () =
             let samples =
               List.init reps (fun _ ->
                   let cold =
-                    wall (fun () -> solve (Sched.Problem.create kmesh trace))
+                    wall_ms (fun () -> solve (Sched.Problem.create kmesh trace))
                   in
                   let problem = Sched.Problem.create kmesh trace in
                   Sched.Problem.prefetch_all problem;
-                  (cold, wall (fun () -> solve problem)))
+                  (cold, wall_ms (fun () -> solve problem)))
             in
             let colds = List.map fst samples and dps = List.map snd samples in
             let lo = List.fold_left Float.min infinity dps
@@ -688,6 +690,78 @@ let gomcds_scaling () =
           ])
       [ 16; 32; 64 ]
   in
+  Obs.Json.List rows
+
+(* ------------------------------------------------------------------ *)
+(* Bounded placement scaling with the array size                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The bounded schedulers that place through [Problem.nearest_free]
+   (SCDS, LOMCDS, LOMCDS-grouped at the paper's 2x-minimum capacity), on
+   workload 3 at 16x16 (n=16) and 32x32 (n=64), mesh and torus, jobs=1.
+   Each repetition solves on a fresh session over one prebuilt context;
+   the row reports the median, min and max of that scheduler wall. The
+   placement search touches a handful of cells per call instead of
+   sorting all P ranks, so the rows should grow with the instance, not
+   with P log P per placement. No gate: a scaling trail in
+   BENCH_<rev>.json. It runs after every gated section, and quick mode
+   keeps only the 16x16 rows: the 32x32 (n=64) trace alone peaks near
+   3 GB of RSS, which the gates need not share. *)
+let placement_scaling () =
+  section "Bounded placement scaling (workload 3, capacity 2x minimum, jobs=1)";
+  let reps = if quick then 3 else 5 in
+  Printf.printf "%-8s %-6s %-16s %12s %14s\n" "array" "topo" "scheduler"
+    "median ms" "min-max";
+  let rows =
+    List.concat_map
+      (fun (side, n) ->
+        (* the workload maps ranks by shape alone, so the mesh and the
+           torus share one trace: at 32x32 (n=64) it alone peaks near
+           3 GB of RSS *)
+        let b = Workloads.Benchmarks.B3 in
+        let trace = Workloads.Benchmarks.trace b ~n (Pim.Mesh.square side) in
+        List.concat_map
+          (fun (topology, kmesh) ->
+            let ctx =
+              Sched.Context.create
+                ~policy:
+                  (Sched.Problem.Bounded
+                     (Workloads.Benchmarks.capacity b ~n kmesh))
+                kmesh trace
+            in
+            List.map
+              (fun algo ->
+                let samples =
+                  List.init reps (fun _ ->
+                      let problem = Sched.Problem.of_context ctx in
+                      wall_ms (fun () ->
+                          ignore (Sched.Scheduler.solve problem algo)))
+                in
+                let lo = List.fold_left Float.min infinity samples
+                and hi = List.fold_left Float.max 0. samples in
+                let size = Printf.sprintf "%dx%d" side side in
+                let name = Sched.Scheduler.name algo in
+                Printf.printf "%-8s %-6s %-16s %12.1f %6.1f-%.1f\n%!" size
+                  topology name (median samples) lo hi;
+                Obs.Json.Obj
+                  [
+                    ("array", Obs.Json.String size);
+                    ("topology", Obs.Json.String topology);
+                    ("workload", Obs.Json.String (Printf.sprintf "3/n=%d" n));
+                    ("scheduler", Obs.Json.String name);
+                    ("reps", Obs.Json.Int reps);
+                    ("ms_median", Obs.Json.Float (median samples));
+                    ("ms_min", Obs.Json.Float lo);
+                    ("ms_max", Obs.Json.Float hi);
+                  ])
+              Sched.Scheduler.[ Scds; Lomcds; Lomcds_grouped ])
+          [
+            ("mesh", Pim.Mesh.square side);
+            ("torus", Pim.Mesh.square ~wrap:true side);
+          ])
+      (if quick then [ (16, 16) ] else [ (16, 16); (32, 64) ])
+  in
+  Gc.compact ();
   Obs.Json.List rows
 
 (* ------------------------------------------------------------------ *)
@@ -1552,7 +1626,8 @@ let git_rev () =
         | _ -> "local"
       with _ -> "local")
 
-let json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed
+let json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~placement
+    ~incremental ~timed
     () =
   section "Machine-readable snapshot";
   let n = if quick then 8 else 16 in
@@ -1650,6 +1725,7 @@ let json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed
          ("multi_bench", multi);
          ("engine_scaling", engine);
          ("gomcds_scaling", gomcds);
+         ("placement_scaling", placement);
          ("incremental_bench", incremental);
          ("timed_bench", timed);
          ("entries", Obs.Json.List (List.rev !entries));
@@ -1669,7 +1745,9 @@ let () =
     let multi = multi_bench () in
     let incremental = incremental_bench () in
     let timed = timed_bench () in
-    json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed ();
+    let placement = placement_scaling () in
+    json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~placement
+      ~incremental ~timed ();
     print_endline "\nQuick benches complete."
   end
   else begin
@@ -1695,6 +1773,8 @@ let () =
     let multi = multi_bench () in
     let incremental = incremental_bench () in
     let timed = timed_bench () in
-    json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~incremental ~timed ();
+    let placement = placement_scaling () in
+    json_snapshot ~kernel ~serve ~multi ~engine ~gomcds ~placement
+      ~incremental ~timed ();
     print_endline "\nAll benches complete."
   end

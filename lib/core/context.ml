@@ -10,6 +10,8 @@ type t = {
   size : int;
   xdist : int array array;
   ydist : int array array;
+  xorder : int array array;
+  yorder : int array array;
   max_arena_bytes : int;
 }
 
@@ -25,6 +27,8 @@ let create ?(policy = Unbounded) ?(jobs = 1) mesh trace =
      plus the shared zero row — exactly what [Problem.ensure_arena]
      allocates (8-byte entries). Computed here, once, so a service can
      admission-control a request before any slab exists. *)
+  let xdist = Pim.Mesh.x_distance_table mesh
+  and ydist = Pim.Mesh.y_distance_table mesh in
   let slots = ref 0 in
   for data = 0 to n_data - 1 do
     incr slots;
@@ -40,8 +44,10 @@ let create ?(policy = Unbounded) ?(jobs = 1) mesh trace =
     windows;
     merged = Reftrace.Trace.merged trace;
     size;
-    xdist = Pim.Mesh.x_distance_table mesh;
-    ydist = Pim.Mesh.y_distance_table mesh;
+    xdist;
+    ydist;
+    xorder = Array.map Cost.axis_order xdist;
+    yorder = Array.map Cost.axis_order ydist;
     max_arena_bytes = 8 * size * !slots;
   }
 

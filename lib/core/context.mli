@@ -7,7 +7,7 @@
     domain-pool size.
 
     {!Problem.t} layers the {e request-scoped} half on top: cost arenas,
-    marginal/center/candidate caches and the fault overlay. Any number of
+    marginal/center/placement caches and the fault overlay. Any number of
     concurrent sessions ({!Problem.of_context}) may share one context from
     different domains — nothing here is written after {!create}, so there
     is nothing to race on. This split is what lets a long-lived scheduler
@@ -28,6 +28,10 @@ type t = private {
   size : int;  (** [Pim.Mesh.size mesh] *)
   xdist : int array array;  (** per-axis distance tables; read-only *)
   ydist : int array array;
+  xorder : int array array;
+      (** [xorder.(x)]: the columns by ascending [(xdist.(x).(c), c)] —
+          the placement search's visiting order around a column; read-only *)
+  yorder : int array array;  (** the same for rows *)
   max_arena_bytes : int;
       (** bytes a session's cost arena occupies when {e every} row is
           forced: one [size]-entry row of boxed-free 8-byte ints per

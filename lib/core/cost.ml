@@ -81,6 +81,13 @@ let axis_cost_line m =
 
 let axis_cost ~wrap m = if wrap then axis_cost_circle m else axis_cost_line m
 
+(* A stable sort over the ascending positions keeps equal costs in
+   position order. *)
+let axis_order c =
+  let o = Array.init (Array.length c) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare c.(a) c.(b)) o;
+  o
+
 (* Shared assembly loop: writes the cols*rows cost entries into [dst]
    starting at [off]. [vector_of_marginals] allocates a fresh array;
    [fill_of_marginals] targets a caller-owned arena row, so a prefetch

@@ -48,6 +48,11 @@ val path_cost :
     [d] the wrap-aware 1-D distance. O(E) via (circular) prefix sums. *)
 val axis_cost : wrap:bool -> int array -> int array
 
+(** [axis_order c] is the positions [0 .. E-1] of an axis cost array
+    sorted by [(c.(i), i)] ascending — the per-axis visiting order of
+    {!Problem.nearest_free}'s search. *)
+val axis_order : int array -> int array
+
 (** [vector_of_marginals ~wrap ~cols ~rows (mx, my)] assembles a full cost
     vector from per-axis marginals: [v.(y·cols + x) = cx.(x) + cy.(y)]. The
     entry point for callers that already hold marginals (e.g. merged-window

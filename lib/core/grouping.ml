@@ -390,10 +390,7 @@ let run_with_partitions problem ~partition_of =
         List.iter
           (fun data ->
             let target = desired.(data).(w) in
-            let rank =
-              Processor_list.assign memory
-                (Problem.ranks_near problem ~target)
-            in
+            let rank = Problem.assign problem memory (`Near target) in
             current.(data) <- rank)
           order;
         Array.iteri

@@ -19,11 +19,11 @@ let first_reference_window problem =
   first
 
 (* Vector-free unbounded walk: with infinite memories [assign] always
-   takes the head of the processor list — the lowest-rank cost argmin —
-   so every placement is an [optimal_center] probe and no cost vector or
-   candidate list is ever materialized. Placements are byte-identical to
-   the candidate-list walk below (the argmin tie order matches the list
-   head; pinned by test/test_fastpath.ml). *)
+   takes the lowest-rank cost argmin, so every placement is an
+   [optimal_center] probe and no cost vector or placement search runs.
+   Placements are byte-identical to the bounded walk below with free
+   slots everywhere (the argmin tie order matches the search's; pinned by
+   test/test_fastpath.ml). *)
 let schedule_unbounded problem schedule first =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
@@ -49,7 +49,7 @@ let schedule_unbounded problem schedule first =
 let schedule_bounded problem schedule first =
   let n_data = Problem.n_data problem in
   let n_windows = Problem.n_windows problem in
-  (* parallel phase: every processor list the serial walk below reads *)
+  (* parallel phase: every placement row the serial walk below reads *)
   Problem.prefetch_referenced problem;
   (* Initial placement: each datum goes where its first referencing window
      wants it; data never referenced fall back to the merged profile (all
@@ -73,12 +73,11 @@ let schedule_bounded problem schedule first =
   in
   List.iter
     (fun data ->
-      let candidates =
-        if first.(data) >= n_windows then
-          Problem.merged_candidates problem ~data
-        else Problem.candidates problem ~window:first.(data) ~data
+      let source =
+        if first.(data) >= n_windows then `Merged data
+        else `Window (first.(data), data)
       in
-      initial.(data) <- Processor_list.assign init_memory candidates)
+      initial.(data) <- Problem.assign problem init_memory source)
     init_order;
   (* Walk the windows. [current.(d)] is where datum [d] sits entering the
      window; referenced data are reassigned to (as close as possible to)
@@ -95,8 +94,7 @@ let schedule_bounded problem schedule first =
     List.iter
       (fun data ->
         Pim.Memory.release memory current.(data);
-        let candidates = Problem.candidates problem ~window:w ~data in
-        current.(data) <- Processor_list.assign memory candidates)
+        current.(data) <- Problem.assign problem memory (`Window (w, data)))
       (Ordering.by_window_references window);
     Array.iteri
       (fun data rank -> Schedule.set_center schedule ~window:w ~data rank)

@@ -60,14 +60,11 @@ let schedule ?(theta = 2.) ?initial problem =
           let best =
             if unbounded then
               (* vector-free fast path: with a free slot everywhere the
-                 first available candidate is the list head, i.e. the
-                 lowest-rank cost argmin *)
+                 nearest free rank is the lowest-rank cost argmin *)
               Problem.optimal_center problem ~window:w ~data
             else
-              let candidates = Problem.candidates problem ~window:w ~data in
-              match Processor_list.first_available memory candidates with
-              | Some rank -> rank
-              | None -> here
+              Option.value ~default:here
+                (Problem.nearest_free problem memory (`Window (w, data)))
           in
           let go = entry data best in
           let move = Problem.distance problem here best in

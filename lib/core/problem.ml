@@ -5,12 +5,16 @@ type capacity_policy = Context.capacity_policy = Unbounded | Bounded of int
    small enough that profile-weighted sums stay far from overflow. *)
 let unreachable_cost = 1 lsl 40
 
+(* One cost row in separable form, cost(x, y) = cx.(x) + cy.(y), with
+   each axis's positions in ascending (cost, position) order. *)
+type axes = { cx : int array; cy : int array; ox : int array; oy : int array }
+
 (* A [Problem.t] is one request-scoped session over an immutable shared
    [Context.t]: the context carries the mesh, trace, windows and per-axis
    tables (never written after creation, so any number of sessions may
    share it from any domain); the session carries the fault overlay and
-   every mutable cache — the cost arenas, marginals, centers, candidate
-   lists. [policy] and [jobs] are per-session so [with_policy]/[with_jobs]
+   every mutable cache — the cost arenas, marginals, centers, placement
+   axes. [policy] and [jobs] are per-session so [with_policy]/[with_jobs]
    can override the context defaults while still sharing cache rows. *)
 type t = {
   ctx : Context.t;
@@ -64,10 +68,11 @@ type t = {
   (* Cached per-axis optimal centers; -1 = not computed yet. *)
   opts : int array array; (* opts.(data).(window) *)
   merged_opts : int array;
-  cands : int list option array array; (* cands.(data).(window) *)
   merged_vectors : int array option array;
-  merged_cands : int list option array;
-  near : int list option array; (* near.(target): serial phases only *)
+  (* Placement axes ([nearest_free]): fault-independent like the
+     marginals they derive from, so a patched session shares them. *)
+  axes : axes option array array; (* axes.(data).(window) *)
+  merged_axes : axes option array;
   mutable order : int list option; (* serial phases only *)
   (* Cooperative cancellation: polled at the fill/solve funnels below.
      [Cancel.none] (the default) makes every poll a pointer compare; an
@@ -105,7 +110,7 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
   List.iter (fun r -> alive.(r) <- false) (Pim.Fault.dead_nodes fault);
   let n_alive = Pim.Fault.alive_count fault mesh in
   if n_alive = 0 then
-    invalid_arg "Problem.create: every processor is dead";
+    invalid_arg "Problem.of_context: every processor is dead";
   let fault_dist = build_fault_dist mesh size fault in
   let n_data = Context.n_data ctx in
   let n_windows = Array.length ctx.Context.windows in
@@ -125,22 +130,15 @@ let of_context ?policy ?jobs ?(fault = Pim.Fault.none) ctx =
     shared = Array.make n_data false;
     opts = Array.init n_data (fun _ -> Array.make n_windows (-1));
     merged_opts = Array.make n_data (-1);
-    cands = Array.init n_data (fun _ -> Array.make n_windows None);
     merged_vectors = Array.make n_data None;
-    merged_cands = Array.make n_data None;
-    near = Array.make size None;
+    axes = Array.init n_data (fun _ -> Array.make n_windows None);
+    merged_axes = Array.make n_data None;
     order = None;
     cancel = Cancel.none;
   }
 
-let create ?(policy = Unbounded) ?(jobs = 1) ?(fault = Pim.Fault.none) mesh
-    trace =
-  (match policy with
-  | Bounded c when c < 0 ->
-      invalid_arg "Problem.create: negative capacity"
-  | Bounded _ | Unbounded -> ());
-  if jobs < 1 then invalid_arg "Problem.create: jobs must be >= 1";
-  of_context ~fault (Context.create ~policy ~jobs mesh trace)
+let create ?policy ?jobs ?(fault = Pim.Fault.none) mesh trace =
+  of_context ~fault (Context.create ?policy ?jobs mesh trace)
 
 let of_capacity ?capacity ?jobs mesh trace =
   let policy =
@@ -453,79 +451,111 @@ let merged_optimal_center t ~data =
     c
   end
 
-(* Dead ranks are cut out of every candidate list — the same fallback
-   machinery that skips full memories then never proposes them. *)
-let alive_only t l =
-  if Pim.Fault.has_node_faults t.fault then
-    List.filter (fun r -> t.alive.(r)) l
-  else l
-
-let candidates t ~window ~data =
-  match t.cands.(data).(window) with
-  | Some l ->
-      hit "problem.candidates_hit";
-      l
+(* [cache.(i)], built from the row's marginals on a miss *)
+let cached_axes t cache i marginals =
+  match cache.(i) with
+  | Some a -> a
   | None ->
-      hit "problem.candidates_miss";
       poll t;
-      let size = t.ctx.Context.size in
-      let l =
-        if Bytes.get t.filled.(data) window = '\001' || t.fault_dist <> None
-        then begin
-          (* row already materialized, or priced by the fault table: sort
-             straight off the slab *)
-          let a, off = arena_row t ~window ~data in
-          alive_only t
-            (Processor_list.of_costs ~n:size (fun i -> a.{off + i}))
-        end
-        (* fill-skip: the candidate order is a pure function of the axis
-           costs, so bounded schedulers that only consume lists
-           ([Scds]/[Lomcds]) never force a slab row. Same values, hence the
-           same (cost, rank) order, as the materialized row. *)
-        else if
-          Reftrace.Window.references t.ctx.Context.windows.(window) data = 0
-        then alive_only t (Processor_list.of_costs ~n:size (fun _ -> 0))
+      let wrap = Pim.Mesh.wraps t.ctx.Context.mesh in
+      let mx, my = marginals () in
+      let cx = Cost.axis_cost ~wrap mx and cy = Cost.axis_cost ~wrap my in
+      let a = { cx; cy; ox = Cost.axis_order cx; oy = Cost.axis_order cy } in
+      cache.(i) <- Some a;
+      a
+
+let window_axes t ~window ~data =
+  cached_axes t t.axes.(data) window (fun () -> marginals t ~window ~data)
+
+let merged_axes t ~data =
+  cached_axes t t.merged_axes data (fun () -> merged_marginals t ~data)
+
+type source = [ `Window of int * int | `Merged of int | `Near of int ]
+
+let record_search visited =
+  if !Obs.enabled then begin
+    Obs.Metrics.incr "placement.calls";
+    Obs.Metrics.add "placement.cells_visited" visited
+  end
+
+let free t memory r = t.alive.(r) && not (Pim.Memory.is_full memory r)
+
+(* Branch-and-bound over a separable row (DESIGN.md §9, "Bounded
+   placement"): rows in ascending (cy, y) order, columns in ascending
+   (cx, x) order, keeping the lexicographic best (cost, rank) among free
+   alive cells. Along a row, cost and rank only grow past the first free
+   cell or past the best, so the row stops there; a row whose cheapest
+   cell already loses to the best — and with it every later row — ends
+   the search. *)
+let search_axes t memory { cx; cy; ox; oy } =
+  let cols = Array.length cx and rows = Array.length cy in
+  let cx_min = cx.(ox.(0)) in
+  let best_c = ref max_int and best_r = ref (-1) in
+  let visited = ref 0 in
+  let i = ref 0 in
+  while !i < rows do
+    let y = oy.(!i) in
+    let base = cy.(y) in
+    let lo = base + cx_min in
+    if lo > !best_c || (lo = !best_c && y > !best_r / cols) then i := rows
+    else begin
+      let j = ref 0 in
+      while !j < cols do
+        let x = ox.(!j) in
+        let c = base + cx.(x) in
+        let r = (y * cols) + x in
+        if c > !best_c || (c = !best_c && r > !best_r) then j := cols
         else begin
-          hit "cost.separable_builds";
-          let mesh = t.ctx.Context.mesh in
-          let wrap = Pim.Mesh.wraps mesh in
-          let cols = Pim.Mesh.cols mesh in
-          let mx, my = marginals t ~window ~data in
-          let cx = Cost.axis_cost ~wrap mx and cy = Cost.axis_cost ~wrap my in
-          alive_only t
-            (Processor_list.of_costs ~n:size (fun i ->
-                 cx.(i mod cols) + cy.(i / cols)))
+          incr visited;
+          if free t memory r then begin
+            best_c := c;
+            best_r := r;
+            j := cols
+          end
+          else incr j
         end
-      in
-      t.cands.(data).(window) <- Some l;
-      l
+      done;
+      incr i
+    end
+  done;
+  record_search !visited;
+  if !best_r < 0 then None else Some !best_r
 
-let merged_candidates t ~data =
-  match t.merged_cands.(data) with
-  | Some l ->
-      hit "problem.candidates_hit";
-      l
-  | None ->
-      hit "problem.candidates_miss";
-      let l = alive_only t (Processor_list.of_cost_vector (merged_vector t ~data)) in
-      t.merged_cands.(data) <- Some l;
-      l
+(* Link faults: the BFS costs do not separate by axis, so one masked
+   ascending scan over the row (the [solve_table] side of the split). *)
+let search_table t memory cost =
+  let best = ref (-1) in
+  for r = 0 to t.ctx.Context.size - 1 do
+    if free t memory r && (!best < 0 || cost r < cost !best) then best := r
+  done;
+  record_search t.ctx.Context.size;
+  if !best < 0 then None else Some !best
 
-let ranks_near t ~target =
-  match t.near.(target) with
-  | Some l -> l
-  | None ->
-      let l =
-        List.init t.ctx.Context.size Fun.id
-        |> alive_only t
-        |> List.sort (fun a b ->
-               let c =
-                 Int.compare (distance t target a) (distance t target b)
-               in
-               if c <> 0 then c else Int.compare a b)
-      in
-      t.near.(target) <- Some l;
-      l
+let nearest_free t memory (source : source) =
+  match (t.fault_dist, source) with
+  | None, `Window (window, data) ->
+      search_axes t memory (window_axes t ~window ~data)
+  | None, `Merged data -> search_axes t memory (merged_axes t ~data)
+  | None, `Near target ->
+      let { Context.xdist; ydist; xorder; yorder; mesh; _ } = t.ctx in
+      let cols = Pim.Mesh.cols mesh in
+      let x = target mod cols and y = target / cols in
+      search_axes t memory
+        { cx = xdist.(x); cy = ydist.(y); ox = xorder.(x); oy = yorder.(y) }
+  | Some _, `Window (window, data) ->
+      let a, off = arena_row t ~window ~data in
+      search_table t memory (fun r -> a.{off + r})
+  | Some _, `Merged data ->
+      search_table t memory (Array.get (merged_vector t ~data))
+  | Some dist, `Near target -> search_table t memory (Array.get dist.(target))
+
+let assign t memory source =
+  match nearest_free t memory source with
+  | Some rank ->
+      let ok = Pim.Memory.allocate memory rank in
+      assert ok;
+      rank
+  | None -> failwith "Processor_list.assign: all candidate processors full"
 
 let by_total_references t =
   match t.order with
@@ -684,7 +714,7 @@ let invalidate t ~window =
       end;
       t.margs.(data).(window) <- None;
       t.opts.(data).(window) <- -1;
-      t.cands.(data).(window) <- None;
+      t.axes.(data).(window) <- None;
       match Bytes.get t.filled.(data) window with
       | '\000' ->
           Bytes.set t.filled.(data) window '\002';
@@ -697,8 +727,8 @@ let invalidate t ~window =
   done
 
 (* monotone growth: every element of ascending [a] appears in ascending
-   [b] — the condition under which cached argmins and candidate orders
-   survive a fault change (dead ranks only accumulate). *)
+   [b] — the condition under which cached argmins survive a fault change
+   (dead ranks only accumulate). *)
 let rec subset_asc a b =
   match (a, b) with
   | [], _ -> true
@@ -776,17 +806,11 @@ let with_fault_patch t fault =
     let monotone =
       subset_asc (Pim.Fault.dead_nodes t.fault) (Pim.Fault.dead_nodes fault)
     in
-    let filter_alive l =
-      if Pim.Fault.has_node_faults fault then
-        List.filter (fun r -> alive.(r)) l
-      else l
-    in
     let nd = n_data t in
     let windows = t.ctx.Context.windows in
     let nw = Array.length windows in
     let filled = Array.init nd (fun d -> Bytes.copy t.filled.(d)) in
     let opts = Array.init nd (fun d -> Array.copy t.opts.(d)) in
-    let cands = Array.init nd (fun _ -> Array.make nw None) in
     for data = 0 to nd - 1 do
       for w = 0 to nw - 1 do
         if row_dirty windows.(w) data then begin
@@ -803,33 +827,21 @@ let with_fault_patch t fault =
         else begin
           (* clean row: the cached argmin survives iff dead ranks only
              grew (subset argmin, lowest-rank ties preserved) and the
-             center itself is still alive; a candidate order survives a
-             monotone fault filtered down to the new alive set *)
+             center itself is still alive *)
           let o = opts.(data).(w) in
           if o >= 0 && not (monotone && alive.(o)) then
-            opts.(data).(w) <- -1;
-          if monotone then
-            cands.(data).(w) <-
-              (match t.cands.(data).(w) with
-              | Some l -> Some (filter_alive l)
-              | None -> None)
+            opts.(data).(w) <- -1
         end
       done
     done;
     let merged = t.ctx.Context.merged in
     let merged_vectors = Array.make nd None in
     let merged_opts = Array.make nd (-1) in
-    let merged_cands = Array.make nd None in
     for data = 0 to nd - 1 do
       if not (row_dirty merged data) then begin
         merged_vectors.(data) <- t.merged_vectors.(data);
         let o = t.merged_opts.(data) in
-        if o >= 0 && monotone && alive.(o) then merged_opts.(data) <- o;
-        if monotone then
-          merged_cands.(data) <-
-            (match t.merged_cands.(data) with
-            | Some l -> Some (filter_alive l)
-            | None -> None)
+        if o >= 0 && monotone && alive.(o) then merged_opts.(data) <- o
       end
     done;
     let arena = Array.copy t.arena in
@@ -845,13 +857,15 @@ let with_fault_patch t fault =
       filled;
       shared;
       opts;
-      cands;
       merged_vectors;
       merged_opts;
-      merged_cands;
-      near = Array.make size None;
     }
   end
+
+(* what [nearest_free] reads for a merged source *)
+let merged_placement t ~data =
+  if t.fault_dist = None then ignore (merged_axes t ~data)
+  else ignore (merged_vector t ~data)
 
 let prefetch_referenced t =
   Obs.Span.with_ ~name:"problem.prefetch_referenced" @@ fun () ->
@@ -861,10 +875,11 @@ let prefetch_referenced t =
         (fun w window ->
           if Reftrace.Window.references window data > 0 then begin
             referenced := true;
-            ignore (candidates t ~window:w ~data)
+            if t.fault_dist = None then ignore (window_axes t ~window:w ~data)
+            else ignore (arena_row t ~window:w ~data)
           end)
         t.ctx.Context.windows;
-      if not !referenced then ignore (merged_candidates t ~data))
+      if not !referenced then merged_placement t ~data)
 
 let prefetch_centers t =
   Obs.Span.with_ ~name:"problem.prefetch_centers" @@ fun () ->
@@ -881,8 +896,7 @@ let prefetch_centers t =
 
 let prefetch_merged t =
   Obs.Span.with_ ~name:"problem.prefetch_merged" @@ fun () ->
-  Engine.iter ~jobs:t.jobs (n_data t) (fun data ->
-      ignore (merged_candidates t ~data))
+  Engine.iter ~jobs:t.jobs (n_data t) (fun data -> merged_placement t ~data)
 
 let check_feasible t ~who =
   match t.policy with

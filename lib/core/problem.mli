@@ -15,9 +15,10 @@
       spent zeroing rows that are either written in full or never
       materialized. Consumers read through {!cost_entry}/{!layer_slab}
       (allocation-free) or {!cost_vector} (a copy);
-    - per-(datum, window) axis marginals, optimal centers and
-      capacity-fallback candidate lists, filled lazily and kept for every
-      later algorithm, sweep or refinement pass on the same instance;
+    - per-(datum, window) axis marginals, optimal centers and placement
+      axes (the per-axis costs and visiting orders {!nearest_free}
+      searches), filled lazily and kept for every later algorithm, sweep
+      or refinement pass on the same instance;
     - a [jobs] knob sizing the {!Engine} domain pool used to fill those
       caches and to fan independent per-datum work out across cores.
 
@@ -28,7 +29,7 @@
 
     Thread-safety contract for the caches: every cache cell is owned by a
     single (datum, window) pair — an arena row and its filled byte, a
-    marginal/center/candidate cell. Parallel phases must partition the
+    marginal/center/axes cell. Parallel phases must partition the
     cells across domains so each has one writer; both partitions in use
     are safe: per-datum tasks ({!prefetch_referenced}, {!prefetch_centers}
     — a task owns a datum's whole row of cells) and per-window tasks
@@ -53,11 +54,11 @@ val unreachable_cost : int
 (** [create ?policy ?jobs ?fault mesh trace] builds the context.
     [policy] defaults to [Unbounded]; [jobs] (default [1]) sizes the domain
     pool, and {!Engine.default_jobs} picks a machine-fitted value; [fault]
-    (default {!Pim.Fault.none}) degrades
-    the array — dead processors leave every candidate list, memory tracker
-    and argmin (their routers stay alive, so distances are unchanged), and
-    dead links rebuild all distances by BFS over the surviving topology,
-    which downgrades arena rows off the separable fast path (counters
+    (default {!Pim.Fault.none}) degrades the array — dead processors
+    leave every placement search, memory tracker and argmin (their routers
+    stay alive, so distances are unchanged), and dead links rebuild all
+    distances by BFS over the surviving topology, which downgrades arena
+    rows off the separable fast path (counters
     [cost.fault_tables] / [cost.fault_downgrades]). With [Fault.none] every
     code path is byte-identical to a fault-oblivious context.
     @raise Invalid_argument if [Bounded c] with [c < 0], [jobs < 1], the
@@ -115,7 +116,7 @@ val fault : t -> Pim.Fault.t
 
 (** [set_cancel t c] arms cooperative cancellation for the session:
     every fill/solve funnel — {!solve_datum}, the arena row fills behind
-    {!cost_entry}/{!layer_slab}/{!prefetch_all}, the {!candidates} and
+    {!cost_entry}/{!layer_slab}/{!prefetch_all}, the placement-axes and
     {!optimal_center} miss paths — polls [c] and raises
     {!Cancel.Expired} once it expires (deadline passed on the monotonic
     clock, or {!Cancel.cancel} called from any domain). Polls sit at
@@ -147,7 +148,7 @@ val with_jobs : t -> int -> t
 val with_policy : t -> capacity_policy -> t
 
 (** [with_fault t fault] is a {e fresh session} (empty caches) with the
-    fault replaced — cost entries, candidate orders and distances all
+    fault replaced — cost entries, argmins and distances all
     depend on the fault — over the {e same} shared {!Context.t}, so the
     axis tables and trace preprocessing carry over untouched. [t] itself
     when both the old and new fault are {!Pim.Fault.none}. How the
@@ -164,13 +165,13 @@ val with_fault : t -> Pim.Fault.t -> t
     next touch (counter [problem.rows_refilled]).
 
     Node faults keep routers, so a pure node-fault change dirties {e no}
-    row — every slab byte carries over; only the alive mask, argmins and
-    candidate orders adjust (cached argmins survive when the dead set only
-    grew and the cached center is still alive; candidate lists survive a
-    monotone change filtered to the new alive set). A link-fault change
-    rebuilds the BFS distance table (reusing [t]'s when the dead-link set
-    is unchanged) and dirties exactly the rows whose window profile
-    touches a rank with a changed distance column.
+    row — every slab byte carries over; only the alive mask and argmins
+    adjust (cached argmins survive when the dead set only grew and the
+    cached center is still alive; the placement axes never depend on the
+    fault and are shared). A link-fault change rebuilds the BFS distance
+    table (reusing [t]'s when the dead-link set is unchanged) and dirties
+    exactly the rows whose window profile touches a rank with a changed
+    distance column.
 
     [t] is never written through: a dirty row is refilled only after the
     datum's slab has been privatized, so [t] and the patched session stay
@@ -185,7 +186,7 @@ val with_fault_patch : t -> Pim.Fault.t -> t
     [window] were edited in place (references {e added} via
     {!Reftrace.Window.add} after the context was built): every cached
     value derived from that window — marginals, arena row, argmin,
-    candidate list — is dropped or marked dirty for every datum the
+    placement axes — is dropped or marked dirty for every datum the
     window now references, so subsequent reads refill from the edited
     profile and agree byte-for-byte with a freshly built session over the
     same context. A datum whose first reference in [window] appeared
@@ -252,22 +253,30 @@ val optimal_center : t -> window:int -> data:int -> int
     {!merged}. *)
 val merged_optimal_center : t -> data:int -> int
 
-(** [candidates t ~window ~data] is the paper's processor list for the
-    pair: ranks sorted by cost entry, ties by rank
-    ({!Processor_list.of_costs}), cached. On the healthy separable path
-    the order is computed straight from the axis costs without forcing
-    the arena row ({e fill-skip}) — bounded [Scds]/[Lomcds] runs that
-    only consume candidate lists never materialize a slab. The order is
-    identical either way (same cost values). *)
-val candidates : t -> window:int -> data:int -> int list
+(** Where a bounded placement wants a datum: the cost row of a
+    [(window, datum)] pair, the datum's row against {!merged}, or the
+    routing distance from a target rank ([`Near target], the grouping
+    repair's order). *)
+type source = [ `Window of int * int | `Merged of int | `Near of int ]
 
-(** [merged_candidates t ~data] is the processor list against {!merged}. *)
-val merged_candidates : t -> data:int -> int list
+(** [nearest_free t memory source] is the alive rank with a free slot in
+    [memory] that minimizes [(cost, rank)] for [source] — the head of the
+    paper's processor list (every rank sorted by cost, ties by rank) once
+    dead and full ranks are skipped, found without building the list.
+    Healthy and node-faulted sessions search the separable cost
+    [cx.(x) + cy.(y)] by branch-and-bound over precomputed per-axis
+    orders; link faults scan the BFS-priced row once. [None] iff no alive
+    rank has a free slot. Counters [placement.calls] and
+    [placement.cells_visited]. Serial phases only: reads [memory] and
+    fills the datum's axes cell on a miss. *)
+val nearest_free : t -> Pim.Memory.t -> source -> int option
 
-(** [ranks_near t ~target] is every rank sorted by distance from [target]
-    (ties by rank), cached — the grouping repair's fallback order. Serial
-    phases only: the cache row is not per-datum. *)
-val ranks_near : t -> target:int -> int list
+(** [assign t memory source] allocates a slot at {!nearest_free} and
+    returns the rank.
+    @raise Failure ["Processor_list.assign: all candidate processors
+    full"] when no alive rank has a free slot (impossible after
+    {!check_feasible} with at most [n_data] allocations). *)
+val assign : t -> Pim.Memory.t -> source -> int
 
 (** [by_total_references t] is {!Ordering.by_total_references} served from
     the cached merged window — the canonical heaviest-first assignment
@@ -355,10 +364,11 @@ val prefetch_all : t -> unit
 val window_rows :
   t -> window:int -> Pathgraph.Layered.buffer array * int array
 
-(** [prefetch_referenced t] fills, in parallel, arena rows {e and}
-    candidate lists for every (datum, window) pair where the window
-    references the datum, plus the merged row for data never referenced —
-    exactly what LOMCDS's bounded serial loop reads. *)
+(** [prefetch_referenced t] fills, in parallel, what {!nearest_free}
+    reads for every (datum, window) pair where the window references the
+    datum, plus the merged row for data never referenced — exactly what
+    LOMCDS's bounded serial loop reads: the placement axes, or the arena
+    rows under link faults. *)
 val prefetch_referenced : t -> unit
 
 (** [prefetch_centers t] fills, in parallel, the {!optimal_center} cache
@@ -367,8 +377,8 @@ val prefetch_referenced : t -> unit
     working set of the unbounded LOMCDS fast path. *)
 val prefetch_centers : t -> unit
 
-(** [prefetch_merged t] fills every datum's merged vector and candidate
-    list on the pool (SCDS's working set). *)
+(** [prefetch_merged t] fills every datum's merged placement axes (merged
+    vector under link faults) on the pool — SCDS's bounded working set. *)
 val prefetch_merged : t -> unit
 
 (** [check_feasible t ~who] raises the algorithms' historical

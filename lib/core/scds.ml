@@ -3,15 +3,14 @@ let placement problem =
   match Problem.policy problem with
   | Problem.Unbounded ->
       (* Vector-free fast path: with unbounded memories [assign] always
-         takes the head of the processor list, which is exactly the
-         lowest-rank cost argmin — so each datum's center is
+         takes the lowest-rank cost argmin — so each datum's center is
          [merged_optimal_center] (O(cols + rows) from marginals on a
-         healthy array), no vector or candidate list needed. Per-datum
+         healthy array), no vector or placement search needed. Per-datum
          and order-free, so it fans out across the pool. *)
       Engine.map ~jobs:(Problem.jobs problem) (Problem.n_data problem)
         (fun data -> Problem.merged_optimal_center problem ~data)
   | Problem.Bounded _ ->
-      (* parallel phase: merged-window processor lists, one row per datum *)
+      (* parallel phase: merged-window placement axes, one row per datum *)
       Problem.prefetch_merged problem;
       (* serial phase: heaviest-first allocation, identical at any jobs
          count *)
@@ -19,9 +18,7 @@ let placement problem =
       let result = Array.make (Problem.n_data problem) 0 in
       List.iter
         (fun data ->
-          result.(data) <-
-            Processor_list.assign memory
-              (Problem.merged_candidates problem ~data))
+          result.(data) <- Problem.assign problem memory (`Merged data))
         (Problem.by_total_references problem);
       result
 

@@ -2,11 +2,12 @@
 
     All execution windows are merged into one; each datum is placed at the
     processor minimizing its total communication cost over the whole
-    execution and never moves. With bounded memory, the per-datum processor
-    list supplies the first available fallback. *)
+    execution and never moves. With bounded memory, the datum goes to the
+    first processor of its processor list with a free slot
+    ({!Problem.nearest_free}). *)
 
 (** [schedule problem] computes the SCDS schedule on a shared {!Problem.t}
-    context. Candidate processor lists are filled on the context's domain
+    context. The merged placement rows are filled on the context's domain
     pool; the capacity-respecting allocation itself runs serially, heaviest
     datum first, so the result is identical at every [jobs] setting.
     @raise Invalid_argument if the capacity policy is infeasible

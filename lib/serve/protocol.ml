@@ -123,10 +123,27 @@ let get_pair_list fields k =
 
 (* ---- request decoding ---- *)
 
+(* Every object in a request is checked against the fields its decoder
+   reads, so a misspelt field is refused by name instead of being served
+   with the default it stood in for. *)
+let allow ?within fields allowed =
+  let where = Option.fold ~none:"" ~some:(Printf.sprintf " in %S") within in
+  List.iter
+    (fun (k, _) ->
+      if not (List.mem k allowed) then
+        reject (Printf.sprintf "unknown field %S%s" k where))
+    fields
+
+let solve_fields =
+  [ "id"; "op"; "workload"; "trace"; "size"; "partition"; "mesh"; "arrays";
+    "inter_cost"; "unbounded"; "kernel"; "algorithm"; "fault"; "timed";
+    "link_model"; "deadline_ms" ]
+
 let decode_mesh fields =
   match get_obj fields "mesh" with
   | None -> { rows = 4; cols = 4; torus = false }
   | Some m ->
+      allow ~within:"mesh" m [ "rows"; "cols"; "torus" ];
       let rows = get_int m "rows" ~default:4 in
       let cols = get_int m "cols" ~default:4 in
       if rows < 1 || cols < 1 then reject "mesh shape must be positive";
@@ -136,7 +153,9 @@ let decode_fault fields =
   match get_obj fields "fault" with
   | None -> None
   | Some f ->
-      if field f "seed" <> None then
+      if field f "seed" <> None then begin
+        allow ~within:"fault" f
+          [ "seed"; "array_rate"; "node_rate"; "link_rate" ];
         Some
           (Fault_seeded
              {
@@ -145,7 +164,9 @@ let decode_fault fields =
                node_rate = get_float f "node_rate" ~default:0.;
                link_rate = get_float f "link_rate" ~default:0.;
              })
-      else
+      end
+      else begin
+        allow ~within:"fault" f [ "dead_arrays"; "dead_nodes"; "dead_links" ];
         Some
           (Fault_explicit
              {
@@ -153,13 +174,17 @@ let decode_fault fields =
                dead_nodes = get_int_list f "dead_nodes";
                dead_links = get_pair_list f "dead_links";
              })
+      end
 
+(* The [link_model] field names are checked whether or not the request
+   is timed, so a misspelt one is refused even where the model is then
+   unused. *)
 let decode_link_model fields =
+  let m = match get_obj fields "link_model" with None -> [] | Some o -> o in
+  allow ~within:"link_model" m
+    [ "bandwidth"; "flit"; "wormhole"; "queue_depth"; "compute_cycles" ];
   if not (get_bool fields "timed" ~default:false) then None
   else
-    let m =
-      match get_obj fields "link_model" with None -> [] | Some o -> o
-    in
     let queue_depth =
       match field m "queue_depth" with
       | None | Some Obs.Json.Null -> None
@@ -226,6 +251,7 @@ let decode line =
       match
         match get_string fields "op" ~default:"solve" with
         | "solve" ->
+            allow fields solve_fields;
             Solve
               {
                 instance = decode_instance fields;
@@ -234,9 +260,15 @@ let decode line =
                 timed = decode_link_model fields;
                 deadline_ms = decode_deadline fields;
               }
-        | "ping" -> Ping
-        | "stats" -> Stats
-        | "shutdown" -> Shutdown
+        | "ping" ->
+            allow fields [ "id"; "op" ];
+            Ping
+        | "stats" ->
+            allow fields [ "id"; "op" ];
+            Stats
+        | "shutdown" ->
+            allow fields [ "id"; "op" ];
+            Shutdown
         | s -> reject (Printf.sprintf "unknown op %S" s)
       with
       | op -> Ok { id; op }

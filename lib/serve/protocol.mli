@@ -32,6 +32,13 @@
     - ["stats"] — server counters.
     - ["shutdown"] — acknowledge and stop the daemon after this batch.
 
+    Each op accepts exactly the fields listed for it ([ping], [stats] and
+    [shutdown] take only [id] and [op]), and so do the nested [mesh],
+    [fault] (per form) and [link_model] objects: any other field is a
+    [bad-request] naming it (["unknown field \"algoritm\""]), never
+    silently ignored. A [link_model] object is checked even on a request
+    that is not timed.
+
     A solve response's [result] holds the algorithm name, the cost
     breakdown ([total]/[reference]/[movement]/[moves]) and [plan], the
     {!Sched.Schedule_serial} v1 text — byte-identical to what the

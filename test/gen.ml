@@ -92,3 +92,20 @@ let to_alcotest test =
 
 (* Shorthand for a plain unit test case. *)
 let case name f = Alcotest.test_case name `Quick f
+
+(* [search_agrees problem source list] checks [Problem.nearest_free] for
+   [source] against the first free rank of the reference processor list
+   [list], on capacity-1 memories whose first [k] listed ranks are full,
+   for [k] = none, one, half and all of them. *)
+let search_agrees problem source list =
+  let mesh = Sched.Problem.mesh problem in
+  let n = List.length list in
+  List.for_all
+    (fun k ->
+      let memory = Pim.Memory.create mesh ~capacity:1 in
+      List.iteri
+        (fun i r -> if i < k then ignore (Pim.Memory.allocate memory r))
+        list;
+      Sched.Problem.nearest_free problem memory source
+      = Pim_oracle.Processor_list.first_available memory list)
+    [ 0; 1; n / 2; n ]

@@ -59,8 +59,9 @@ let prop_arena_matches_per_array_vectors mesh label =
                            && Sched.Problem.cost_entry problem ~window:w
                                 ~data c
                               = oracle.(c)))
-                 && Sched.Problem.candidates problem ~window:w ~data
-                    = Sched.Processor_list.of_cost_vector oracle))
+                 && Gen.search_agrees problem
+                      (`Window (w, data))
+                      (Pim_oracle.Processor_list.of_cost_vector oracle)))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)
@@ -484,11 +485,11 @@ module Oracle = struct
               in
               Pim.Memory.release memory here;
               let candidates =
-                Sched.Processor_list.for_data mesh window ~data
+                Pim_oracle.Processor_list.for_data mesh window ~data
               in
               let best =
                 match
-                  Sched.Processor_list.first_available memory candidates
+                  Pim_oracle.Processor_list.first_available memory candidates
                 with
                 | Some rank -> rank
                 | None -> here
@@ -560,10 +561,10 @@ let prop_online_port_matches mesh label =
             [ 1; 4 ])
         (policies mesh trace))
 
-(* The unbounded Scds/Lomcds argmin fast paths vs the candidate-list
-   route they replaced (forced by a Bounded policy with enough headroom
-   to never bind: capacity >= n_data makes every allocation succeed at
-   the list head, i.e. the argmin). *)
+(* The unbounded Scds/Lomcds argmin fast paths vs the bounded placement
+   search (forced by a Bounded policy with enough headroom to never bind:
+   capacity >= n_data makes every allocation succeed at the processor
+   list's head, i.e. the argmin). *)
 let prop_unbounded_fast_paths_match mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
   QCheck.Test.make
@@ -719,7 +720,7 @@ let prop_path_cost_matches mesh label =
 let prop_merged_matches mesh label =
   let arb = Gen.trace_arbitrary ~mesh ~max_data:5 ~max_windows:4 ~max_count:3 () in
   QCheck.Test.make
-    ~name:("merged vector/center/candidates equal merge_list oracle, " ^ label)
+    ~name:("merged vector/center/placement equal merge_list oracle, " ^ label)
     ~count:40 arb (fun trace ->
       let problem = problem_of mesh trace in
       let merged =
@@ -731,8 +732,8 @@ let prop_merged_matches mesh label =
           Sched.Problem.merged_vector problem ~data = oracle
           && Sched.Problem.merged_optimal_center problem ~data
              = vector_argmin oracle
-          && Sched.Problem.merged_candidates problem ~data
-             = Sched.Processor_list.of_cost_vector oracle)
+          && Gen.search_agrees problem (`Merged data)
+               (Pim_oracle.Processor_list.of_cost_vector oracle))
         (List.init (Sched.Problem.n_data problem) Fun.id))
 
 (* ------------------------------------------------------------------ *)

@@ -284,17 +284,27 @@ let prop_dead_nodes_excluded =
           !ok)
         center_choosing)
 
-let test_candidates_exclude_dead () =
+let test_placement_excludes_dead () =
   let trace = Gen.trace mesh44 ~n_data:1 [ [ (0, 6, 4); (0, 5, 1) ] ] in
   let fault = Pim.Fault.create ~dead_nodes:[ 6 ] () in
   let problem = Sched.Problem.create ~fault mesh44 trace in
   check_bool "optimal center alive" true
     (Sched.Problem.rank_alive problem
        (Sched.Problem.optimal_center problem ~window:0 ~data:0));
-  check_bool "candidate list alive" true
-    (List.for_all
-       (Sched.Problem.rank_alive problem)
-       (Sched.Problem.candidates problem ~window:0 ~data:0));
+  (* assigning until every slot is taken visits each alive rank once and
+     never a dead one *)
+  let memory = Pim.Memory.create mesh44 ~capacity:1 in
+  let rec drain acc =
+    match Sched.Problem.assign problem memory (`Window (0, 0)) with
+    | r -> drain (r :: acc)
+    | exception Failure _ -> acc
+  in
+  let placed = drain [] in
+  check_bool "placements alive" true
+    (List.for_all (Sched.Problem.rank_alive problem) placed);
+  Alcotest.(check int)
+    "every alive rank placed once" 15
+    (List.length (List.sort_uniq compare placed));
   check_bool "killing every rank is rejected" true
     (try
        ignore
@@ -434,7 +444,7 @@ let suite =
     Gen.to_alcotest (prop_fault_none_zero_overhead ("torus", torus35));
     Gen.case "simulator Fault.none identical" test_simulator_fault_none_identical;
     Gen.to_alcotest prop_dead_nodes_excluded;
-    Gen.case "candidates exclude dead ranks" test_candidates_exclude_dead;
+    Gen.case "placement excludes dead ranks" test_placement_excludes_dead;
     Gen.case "link faults downgrade distances" test_link_fault_downgrades_distance;
     Gen.case "resilience healthy identity" test_resilience_healthy_identity;
     Gen.to_alcotest prop_reschedule_never_loses;

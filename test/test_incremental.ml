@@ -33,7 +33,7 @@ let algorithms =
   @ [ Sched.Scheduler.Annealing 0x5EED; Sched.Scheduler.Online 2.0 ]
 
 (* The quick subset for QCheck properties: the three paper schedulers
-   (bounded candidate consumers included), a merged-window consumer and
+   (bounded placement searches included), a merged-window consumer and
    the online heuristic. *)
 let quick_algs =
   [
@@ -78,17 +78,17 @@ let test_patch_matrix () =
           check_equiv (tag "link") algorithms
             (Sched.Problem.of_context ~fault:link_fault ctx)
             p2;
-          (* back to healthy: non-monotone, argmins and candidate lists
-             must all drop *)
+          (* back to healthy: non-monotone, cached argmins must all
+             drop *)
           let p3 = Sched.Problem.with_fault_patch p2 Pim.Fault.none in
           check_equiv (tag "heal") algorithms (Sched.Problem.of_context ctx) p3)
         [ 1; 4 ])
     meshes
 
-(* ---- fault patches under a Bounded policy: the candidate lists the
-   bounded schedulers consume come from the fill-skipping path when the
-   session is healthy, and from slab rows otherwise — both must survive
-   a patch ---- *)
+(* ---- fault patches under a Bounded policy: placement after a patch
+   equals placement on a cold session. The bounded schedulers search the
+   placement axes the healthy base cached (shared, fault-independent) and
+   skip the dead ranks of the patched mask ---- *)
 
 let test_patch_bounded () =
   List.iter
@@ -101,8 +101,8 @@ let test_patch_bounded () =
         Sched.Context.create ~policy:(Sched.Problem.Bounded capacity) mesh trace
       in
       let base = Sched.Problem.of_context ctx in
-      (* no prefetch: bounded solves on a healthy session exercise the
-         fill-skipping candidates path *)
+      (* no prefetch: bounded solves on the healthy base fill only the
+         placement axes, which the patched session then reuses *)
       ignore (Sched.Scheduler.solve base Sched.Scheduler.Lomcds);
       ignore (Sched.Scheduler.solve base Sched.Scheduler.Scds);
       let p1 = Sched.Problem.with_fault_patch base node_fault in

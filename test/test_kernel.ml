@@ -104,12 +104,13 @@ let prop_marginals_conserve_mass =
 
 (* Every value a scheduler reads from a session's cost model, pinned to
    the naive oracle for every (window, datum): the arena row, the merged
-   vector, both optimal centers (lowest rank on ties) and the candidate
-   order. Session [a] asks for centers and candidates first, so they come
-   off the vector-free paths (marginal argmin, fill-skipping candidates)
-   before [cost_vector] fills rows one at a time; session [b] fills every
-   row through the window-batched [prefetch_all] first, so candidates sort
-   straight off the slab. The capacity policy must not move any value. *)
+   vector, both optimal centers (lowest rank on ties) and the bounded
+   placement (the first free rank of the oracle's processor list). Session
+   [a] asks for centers and placements first, so they come off the
+   vector-free paths (marginal argmin, placement axes) before
+   [cost_vector] fills rows one at a time; session [b] fills every row
+   through the window-batched [prefetch_all] first. The capacity policy
+   must not move any value. *)
 let prop_problem_matches_oracle =
   QCheck.Test.make
     ~name:"Problem cost model = naive oracle, every (window, datum)"
@@ -134,14 +135,14 @@ let prop_problem_matches_oracle =
           (fun window w ->
             let v = Naive.cost_vector mesh w ~data in
             let cands =
-              Sched.Processor_list.of_costs ~n:(Array.length v) (Array.get v)
+              Pim_oracle.Processor_list.of_costs ~n:(Array.length v) (Array.get v)
             in
-            expect (Sched.Problem.candidates a ~window ~data = cands);
+            expect (Gen.search_agrees a (`Window (window, data)) cands);
             expect
               (Sched.Problem.optimal_center a ~window ~data
               = Naive.local_optimal_center mesh w ~data);
             expect (Sched.Problem.cost_vector a ~window ~data = v);
-            expect (Sched.Problem.candidates b ~window ~data = cands);
+            expect (Gen.search_agrees b (`Window (window, data)) cands);
             expect (Sched.Problem.cost_vector b ~window ~data = v))
           (Reftrace.Trace.windows trace);
         let c = Naive.local_optimal_center mesh merged ~data in
@@ -208,6 +209,20 @@ let test_axis_cost_circle () =
     (* m = [1;1;1]: every center sees the other two points at distance 1 *)
     (Sched.Cost.axis_cost ~wrap:true [| 1; 1; 1 |])
 
+(* [axis_order] against a comparison sort on (cost, position), with
+   costs squashed to a few values so ties dominate. *)
+let prop_axis_order_sorted =
+  QCheck.Test.make ~name:"axis_order = sort by (cost, position)" ~count:300
+    QCheck.(pair (int_range 1 5) (list_of_size (Gen.int_range 1 80) small_nat))
+    (fun (spread, vals) ->
+      let c = Array.of_list (List.map (fun v -> v mod spread) vals) in
+      let expect =
+        List.sort
+          (fun a b -> compare (c.(a), a) (c.(b), b))
+          (List.init (Array.length c) Fun.id)
+      in
+      Array.to_list (Sched.Cost.axis_order c) = expect)
+
 let test_vector_of_marginals_layout () =
   (* 2x3 mesh (rows=2, cols=3), weight at (x=2, y=1) = rank 5 *)
   let v =
@@ -227,22 +242,22 @@ let shared_trace () =
 let test_with_policy_and_jobs_share_caches () =
   let problem = Sched.Problem.create Gen.mesh44 (shared_trace ()) in
   (* cost_vector copies out of the shared arena, so physical sharing is
-     observed through the candidate-list cache and the slab itself *)
-  let l = Sched.Problem.candidates problem ~window:0 ~data:0 in
+     observed through the marginal cache and the slab itself *)
+  let l = Sched.Problem.marginals problem ~window:0 ~data:0 in
   let slab = fst (Sched.Problem.layer_slab problem ~data:0) in
   let bounded =
     Sched.Problem.with_policy problem (Sched.Problem.Bounded 2)
   in
   let jobs2 = Sched.Problem.with_jobs problem 2 in
   Alcotest.(check bool)
-    "with_policy serves the same cached list" true
-    (l == Sched.Problem.candidates bounded ~window:0 ~data:0);
+    "with_policy serves the same cached marginals" true
+    (l == Sched.Problem.marginals bounded ~window:0 ~data:0);
   Alcotest.(check bool)
     "with_policy serves the same arena slab" true
     (slab == fst (Sched.Problem.layer_slab bounded ~data:0));
   Alcotest.(check bool)
-    "with_jobs serves the same cached list" true
-    (l == Sched.Problem.candidates jobs2 ~window:0 ~data:0);
+    "with_jobs serves the same cached marginals" true
+    (l == Sched.Problem.marginals jobs2 ~window:0 ~data:0);
   Alcotest.(check bool)
     "with_jobs serves the same arena slab" true
     (slab == fst (Sched.Problem.layer_slab jobs2 ~data:0))
@@ -274,6 +289,7 @@ let suite =
     Gen.case "axis cost, line" test_axis_cost_line;
     Gen.case "axis cost, ring" test_axis_cost_circle;
     Gen.case "vector assembly layout" test_vector_of_marginals_layout;
+    Gen.to_alcotest prop_axis_order_sorted;
     Gen.case "with_policy/with_jobs share caches"
       test_with_policy_and_jobs_share_caches;
     Gen.case "kernel build counters" test_build_counters;

@@ -95,6 +95,86 @@ let test_bad_requests () =
     "bad-request";
   check_code "typed field" {|{"id":6,"size":"big"}|} "bad-request"
 
+let error_message line =
+  match List.assoc_opt "error" (parse_response line) with
+  | Some (Obs.Json.Obj e) -> (
+      match List.assoc_opt "message" e with
+      | Some (Obs.Json.String m) -> m
+      | _ -> Alcotest.failf "error without message: %s" line)
+  | _ -> Alcotest.failf "response has no error object: %s" line
+
+(* A misspelt field is a typed bad-request naming it, at the top level
+   and inside every nested object, never a solve with the default. *)
+let test_unknown_fields () =
+  let t = fresh () in
+  List.iter
+    (fun (line, message) ->
+      let r = Server.handle_line t line in
+      Alcotest.(check string) (line ^ ": code") "bad-request" (error_code r);
+      Alcotest.(check string) (line ^ ": message") message (error_message r))
+    [
+      ( {|{"id":1,"workload":"1","size":8,"algoritm":"scds"}|},
+        {|unknown field "algoritm"|} );
+      ( {|{"id":2,"workload":"1","size":8,"unbonded":true}|},
+        {|unknown field "unbonded"|} );
+      ( {|{"id":3,"workload":"1","size":8,"mesh":{"rows":4,"colz":4}}|},
+        {|unknown field "colz" in "mesh"|} );
+      ( {|{"id":4,"workload":"1","size":8,"fault":{"dead_node":[1]}}|},
+        {|unknown field "dead_node" in "fault"|} );
+      ( {|{"id":5,"workload":"1","size":8,"fault":{"seed":1,"dead_nodes":[1]}}|},
+        {|unknown field "dead_nodes" in "fault"|} );
+      ( {|{"id":6,"workload":"1","size":8,"timed":true,"link_model":{"bandwith":2}}|},
+        {|unknown field "bandwith" in "link_model"|} );
+      ( {|{"id":10,"workload":"1","size":8,"timed":false,"link_model":{"bandwith":2}}|},
+        {|unknown field "bandwith" in "link_model"|} );
+      ( {|{"id":11,"workload":"1","size":8,"link_model":{"flits":2}}|},
+        {|unknown field "flits" in "link_model"|} );
+      ({|{"id":7,"op":"ping","workload":"1"}|}, {|unknown field "workload"|});
+      ({|{"id":8,"op":"stats","verbose":true}|}, {|unknown field "verbose"|});
+      ({|{"id":9,"op":"shutdown","now":true}|}, {|unknown field "now"|});
+    ];
+  Alcotest.(check bool) "a rejected shutdown does not stop" false
+    (Server.stopping t)
+
+(* Every field the CLI's serve smoke, the chaos harness, the CI serve
+   smoke and the benchmark's serve load send is still accepted. *)
+let test_known_fields_accepted () =
+  let t = fresh () in
+  let text =
+    Reftrace.Serial.to_string
+      (Workloads.Benchmarks.trace B1 ~n:4 (Pim.Mesh.square 4))
+  in
+  let inline =
+    Obs.Json.to_string
+      (Obs.Json.Obj
+         [
+           ("id", Obs.Json.Int 0);
+           ("trace", Obs.Json.String text);
+           ("algorithm", Obs.Json.String "scds");
+         ])
+  in
+  List.iter
+    (fun line ->
+      let r = Server.handle_line t line in
+      if not (is_ok r) then Alcotest.failf "%s refused: %s" line r)
+    (Chaos.default_script ~n:1
+    @ [
+        inline;
+        {|{"id":1,"op":"ping"}|};
+        {|{"id":2,"workload":"1","size":8,"algorithm":"gomcds"}|};
+        {|{"id":3,"op":"stats"}|};
+        {|{"id":4,"workload":"1","size":8,"algorithm":"scds","deadline_ms":60000}|};
+        {|{"id":5,"workload":"stencil","size":8,"mesh":{"rows":4,"cols":4,"torus":true},"unbounded":true,"algorithm":"lomcds"}|};
+        {|{"id":6,"workload":"1","size":8,"algorithm":"lomcds","fault":{"seed":1,"node_rate":0.1,"link_rate":0.05}}|};
+        {|{"id":7,"workload":"1","size":8,"algorithm":"scds","fault":{"dead_nodes":[5],"dead_links":[[0,1]]}}|};
+        {|{"id":8,"workload":"1","size":8,"partition":"row-blocks","kernel":"separable","algorithm":"scds"}|};
+        {|{"id":9,"workload":"1","size":8,"algorithm":"scds","timed":true,"link_model":{"bandwidth":2,"flit":1,"wormhole":true,"queue_depth":2,"compute_cycles":1}}|};
+        {|{"id":10,"workload":"2","size":8,"arrays":"2x2of4x4","inter_cost":5,"algorithm":"lomcds"}|};
+        {|{"id":11,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"scds","fault":{"dead_arrays":[1]}}|};
+        {|{"id":12,"workload":"1","size":8,"arrays":"2x2of4x4","algorithm":"scds","fault":{"seed":3,"array_rate":0.3}}|};
+        {|{"id":13,"op":"shutdown"}|};
+      ])
+
 let test_shutdown () =
   let t = fresh () in
   Alcotest.(check bool) "not stopping" false (Server.stopping t);
@@ -834,6 +914,8 @@ let suite =
     Gen.case "ping golden" test_ping;
     Gen.case "parse and op errors" test_parse_error;
     Gen.case "bad requests" test_bad_requests;
+    Gen.case "unknown fields are refused by name" test_unknown_fields;
+    Gen.case "every field clients send is accepted" test_known_fields_accepted;
     Gen.case "shutdown" test_shutdown;
     Gen.case "solve response shape" test_solve_response_shape;
     Gen.case "differential vs one-shot (kernels x faults x jobs)"
